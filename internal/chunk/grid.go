@@ -11,7 +11,7 @@ package chunk
 
 import (
 	"fmt"
-	"sync"
+	"math"
 
 	"aggcache/internal/lattice"
 	"aggcache/internal/schema"
@@ -25,10 +25,8 @@ func (r Range) Len() int { return int(r.Hi - r.Lo) }
 
 // Grid is the chunking of a schema: per dimension and per hierarchy level, a
 // division of the members into contiguous chunk ranges, aligned across
-// levels so that the closure property holds. A Grid's geometry is immutable
-// after New; the only mutable state is the internal, concurrency-safe memo
-// of roll-up mappers (see rollUpMapper), which is pure memoization of that
-// geometry.
+// levels so that the closure property holds. A Grid is immutable after
+// NewGrid and safe for concurrent use.
 type Grid struct {
 	sch *schema.Schema
 	lat *lattice.Lattice
@@ -51,24 +49,35 @@ type Grid struct {
 	chunkStrides [][]int
 	// numChunks[gb] = total chunks of group-by gb.
 	numChunks []int
-
-	// mapMu guards mappers, the memoized roll-up translation tables keyed by
-	// (srcGB, srcNum, dstGB). Read-mostly: every steady-state RollUpInto is
-	// one RLock'd lookup.
-	mapMu   sync.RWMutex
-	mappers map[mapperKey]*rollUpMapper
+	// offTab[d][sl][dl][m] (dl ≤ sl) = offset of member m's level-dl
+	// ancestor inside the member range of its level-dl chunk — the roll-up
+	// kernel's per-dimension key translation (see RollUpInto).
+	offTab [][][][]uint32
 }
+
+// maxDims is the most dimensions a grid may have: the kernel decodes chunk
+// and cell coordinates into fixed [maxDims] stack buffers.
+const maxDims = 16
+
+// maxCellCapacity bounds every chunk's cell capacity, so cell keys stay
+// below 2³² — the precondition of the roll-up kernel's reciprocal decode.
+const maxCellCapacity = math.MaxUint32
 
 // NewGrid builds a grid with counts[d][l] chunks for dimension d at level l.
 // Requirements, checked with descriptive errors:
+//   - at most 16 dimensions;
 //   - counts[d][0] == 1 and counts are non-decreasing with level;
 //   - counts[d][l] ≤ the level's cardinality;
-//   - chunk boundaries can be aligned with hierarchy boundaries (closure).
+//   - chunk boundaries can be aligned with hierarchy boundaries (closure);
+//   - every chunk of every group-by holds fewer than 2³² cells.
 //
 // Base-level chunk boundaries split the members as evenly as possible; at
 // each aggregated level, boundaries are chosen among the detail boundaries
 // that coincide with a parent-member change, spread as evenly as possible.
 func NewGrid(sch *schema.Schema, counts [][]int) (*Grid, error) {
+	if sch.NumDims() > maxDims {
+		return nil, fmt.Errorf("chunk: schema has %d dimensions, the kernel supports at most %d", sch.NumDims(), maxDims)
+	}
 	if len(counts) != sch.NumDims() {
 		return nil, fmt.Errorf("chunk: counts has %d dimensions, want %d", len(counts), sch.NumDims())
 	}
@@ -81,14 +90,17 @@ func NewGrid(sch *schema.Schema, counts [][]int) (*Grid, error) {
 		parentRange: make([][][]Range, sch.NumDims()),
 		childChunk:  make([][][]int32, sch.NumDims()),
 		baseRange:   make([][][]Range, sch.NumDims()),
-		mappers:     make(map[mapperKey]*rollUpMapper),
 	}
 	for d := 0; d < sch.NumDims(); d++ {
 		if err := g.buildDim(d, counts[d]); err != nil {
 			return nil, err
 		}
 	}
+	if err := g.checkCellCapacity(); err != nil {
+		return nil, err
+	}
 	g.buildGroupByTables()
+	g.buildOffsetTables()
 	return g, nil
 }
 
@@ -196,6 +208,27 @@ func (g *Grid) buildDim(d int, counts []int) error {
 			}
 		}
 		g.baseRange[d][l] = br
+	}
+	return nil
+}
+
+// checkCellCapacity rejects grids with a chunk of 2³² or more cells. The
+// largest chunk of any group-by takes, on every dimension, the widest chunk
+// of any level, so the bound is the product of those widths.
+func (g *Grid) checkCellCapacity() error {
+	capacity := uint64(1)
+	for d, st := range g.starts {
+		widest := int32(1)
+		for _, lst := range st {
+			for c := 1; c < len(lst); c++ {
+				widest = max(widest, lst[c]-lst[c-1])
+			}
+		}
+		capacity *= uint64(widest)
+		if capacity > maxCellCapacity {
+			return fmt.Errorf("chunk: a chunk can hold %d or more cells by dimension %s (widest chunk %d members), the kernel needs fewer than 2^32; raise the chunk counts",
+				capacity, g.sch.Dim(d).Name(), widest)
+		}
 	}
 	return nil
 }

@@ -1,7 +1,9 @@
 package chunk
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -71,6 +73,39 @@ func TestGridErrors(t *testing.T) {
 	s2 := schema.MustNew("M", d2)
 	if _, err := NewGrid(s2, [][]int{{1, 4, 2}}); err == nil {
 		t.Errorf("decreasing counts: expected error")
+	}
+}
+
+// TestGridKernelLimits checks NewGrid's guards for the roll-up kernel's
+// preconditions: fewer than 2³² cells per chunk, at most 16 dimensions.
+func TestGridKernelLimits(t *testing.T) {
+	wide := func(name string, card int) *schema.Dimension {
+		return schema.MustNewDimension(name, []schema.HierarchySpec{{Name: "m", Card: card}})
+	}
+	// 65536 × 65536 = 2³² cells in the base chunk: rejected.
+	s := schema.MustNew("M", wide("A", 1<<16), wide("B", 1<<17))
+	_, err := NewGrid(s, [][]int{{1, 1}, {1, 2}})
+	if err == nil || !strings.Contains(err.Error(), "2^32") {
+		t.Fatalf("2^32-cell chunk: err = %v, want a cell-capacity error", err)
+	}
+	// One member fewer fits.
+	s = schema.MustNew("M", wide("A", 1<<16-1), wide("B", 1<<17))
+	if _, err := NewGrid(s, [][]int{{1, 1}, {1, 2}}); err != nil {
+		t.Fatalf("2^32-65536-cell chunk rejected: %v", err)
+	}
+
+	var dims []*schema.Dimension
+	var counts [][]int
+	for d := 0; d <= maxDims; d++ {
+		dims = append(dims, schema.MustNewDimension(fmt.Sprintf("D%d", d), []schema.HierarchySpec{{Name: "x", Card: 1}}))
+		counts = append(counts, []int{1, 1})
+	}
+	_, err = NewGrid(schema.MustNew("M", dims...), counts)
+	if err == nil || !strings.Contains(err.Error(), "at most 16") {
+		t.Fatalf("%d dimensions: err = %v, want a dimension-count error", len(dims), err)
+	}
+	if _, err := NewGrid(schema.MustNew("M", dims[:maxDims]...), counts[:maxDims]); err != nil {
+		t.Fatalf("%d dimensions rejected: %v", maxDims, err)
 	}
 }
 

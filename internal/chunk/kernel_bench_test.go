@@ -1,9 +1,11 @@
 package chunk
 
 import (
+	"math/rand"
 	"testing"
 
 	"aggcache/internal/lattice"
+	"aggcache/internal/schema"
 )
 
 // kernelFixture builds the shared micro-benchmark fixture: a fully populated
@@ -33,7 +35,7 @@ func newKernelFixture(b testing.TB) *kernelFixture {
 
 // BenchmarkRollUpInto measures one roll-up of a dense 64-cell base chunk
 // into its 16-cell destination — the aggregation kernel's unit of work.
-// Allocations per op cover mapper lookup plus key translation.
+// Allocations per op cover building the translation plus the key decode.
 func BenchmarkRollUpInto(b *testing.B) {
 	f := newKernelFixture(b)
 	cm := f.g.NewCellMap(f.dstGB, f.dstNum)
@@ -128,5 +130,71 @@ func BenchmarkGridSliceFull(b *testing.B) {
 		if out.Cells() != f.src.Cells() {
 			b.Fatalf("full slice dropped cells")
 		}
+	}
+}
+
+// largeSourceGrid returns a grid whose single base chunk holds 64×32×24 =
+// 49,152 cells — past what an aggregated chunk holds, the size preloaded
+// base chunks reach — for the large-source roll-up benchmark.
+func largeSourceGrid(b testing.TB) *Grid {
+	b.Helper()
+	p := schema.MustNewDimension("P", []schema.HierarchySpec{{Name: "Group", Card: 8}, {Name: "Code", Card: 64}})
+	c := schema.MustNewDimension("C", []schema.HierarchySpec{{Name: "Region", Card: 4}, {Name: "Store", Card: 32}})
+	tm := schema.MustNewDimension("T", []schema.HierarchySpec{{Name: "Year", Card: 2}, {Name: "Month", Card: 24}})
+	return MustNewGrid(schema.MustNew("M", p, c, tm), [][]int{{1, 1, 1}, {1, 1, 1}, {1, 1, 1}})
+}
+
+// BenchmarkRollUpIntoLarge rolls a quarter-populated 49,152-cell base chunk
+// (12,288 cells) up one Product level (Code → Group) into a 3,072-cell
+// destination — the translated decode over a large source.
+func BenchmarkRollUpIntoLarge(b *testing.B) {
+	g := largeSourceGrid(b)
+	lat := g.Lattice()
+	base := lat.Base()
+	capacity := g.CellCapacity(base, 0)
+	rng := rand.New(rand.NewSource(1))
+	src := NewCellMap()
+	for src.Len() < int(capacity/4) {
+		src.AddCell(uint64(rng.Int63n(capacity)), float64(rng.Intn(100)), 1)
+	}
+	chunk := src.Build(base, 0)
+	dstGB := lat.MustID(1, 2, 2)
+	cm := g.NewCellMap(dstGB, 0)
+	b.ReportAllocs()
+	b.SetBytes(int64(chunk.Cells()) * CellBytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.RollUpInto(cm, dstGB, 0, chunk); err != nil {
+			b.Fatalf("RollUpInto: %v", err)
+		}
+	}
+}
+
+// BenchmarkCellMapBuildSparse runs the pooled accumulate/build/release cycle
+// on a 65,536-slot dense accumulator with ~2% of its slots occupied, where
+// BuildInto and Reset cost follows the occupied slots, not the capacity.
+func BenchmarkCellMapBuildSparse(b *testing.B) {
+	a := schema.MustNewDimension("A", []schema.HierarchySpec{{Name: "L", Card: 256}})
+	bd := schema.MustNewDimension("B", []schema.HierarchySpec{{Name: "L", Card: 256}})
+	g := MustNewGrid(schema.MustNew("M", a, bd), [][]int{{1, 1}, {1, 1}})
+	base := g.Lattice().Base()
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]uint64, denseLimit/50)
+	for i := range keys {
+		keys[i] = uint64(rng.Intn(denseLimit))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cm := g.GetCellMap(base, 0)
+		for _, k := range keys {
+			cm.AddCell(k, 1, 1)
+		}
+		c := cm.BuildInto(base, 0, GetScratchChunk())
+		if c.Cells() == 0 {
+			b.Fatalf("built no cells")
+		}
+		PutScratchChunk(c)
+		PutCellMap(cm)
 	}
 }

@@ -103,6 +103,40 @@ func TestCellMapResetReuse(t *testing.T) {
 	}
 	PutCellMap(cm)
 
+	// The largest dense map, with cells only in its last words: the
+	// set-bit Reset must zero exactly those slots, so after a shrink to a
+	// few words and a regrow to full size no stale cell survives.
+	cm = g.GetCellMap(base, 0)
+	cm.prepare(denseLimit)
+	high := []uint64{denseLimit - 1, denseLimit - 64, denseLimit - 65, denseLimit - 200}
+	for i, k := range high {
+		cm.AddCell(k, float64(i+1), int64(i+1))
+	}
+	if c := cm.Build(base, 0); c.Cells() != len(high) || c.Keys[0] != denseLimit-200 || c.Keys[3] != denseLimit-1 {
+		t.Fatalf("high-word build: keys %v", c.Keys)
+	}
+	cm.Reset()
+	for k, a := range cm.dense {
+		if a != (cellAgg{}) {
+			t.Fatalf("Reset left slot %d = %+v", k, a)
+		}
+	}
+	cm.prepare(128)
+	cm.Add(100, 1)
+	if c := cm.Build(base, 0); c.Cells() != 1 || c.Keys[0] != 100 {
+		t.Fatalf("shrunk reuse of the large map: keys %v", c.Keys)
+	}
+	cm.Reset()
+	cm.prepare(denseLimit)
+	if got := cm.Build(base, 0); got.Cells() != 0 {
+		t.Fatalf("regrown large map leaked %d cells: keys %v", got.Cells(), got.Keys)
+	}
+	cm.Add(denseLimit-1, 2)
+	if c := cm.Build(base, 0); c.Cells() != 1 || c.Vals[0] != 2 || c.Counts[0] != 1 {
+		t.Fatalf("regrown large map: %v %v %v", c.Keys, c.Vals, c.Counts)
+	}
+	PutCellMap(cm)
+
 	// Sparse: a grid whose base capacity exceeds denseLimit falls back to
 	// the map, and the same reset/reuse contract must hold there.
 	big := bigChunkGrid(t)
@@ -140,8 +174,7 @@ func TestCellMapResetReuse(t *testing.T) {
 }
 
 // bigChunkGrid returns a grid whose single base chunk exceeds denseLimit
-// cells, forcing the sparse accumulator and the generic (non-fused) roll-up
-// path.
+// cells, forcing the sparse accumulator.
 func bigChunkGrid(t testing.TB) *Grid {
 	t.Helper()
 	a := schema.MustNewDimension("A", []schema.HierarchySpec{{Name: "L", Card: 300}})
@@ -150,10 +183,10 @@ func bigChunkGrid(t testing.TB) *Grid {
 	return MustNewGrid(s, [][]int{{1, 1}, {1, 1}})
 }
 
-// TestRollUpFastPaths checks each mapper form directly: copy-through for
-// identical group-bys, copy-through when only span-1 dimensions collapse,
-// the fused table for small sources, and the generic path for large ones —
-// all against a member-level reference aggregation.
+// TestRollUpFastPaths checks which form each roll-up takes — copy-through
+// for identical group-bys and when only span-1 dimensions collapse, the
+// translated decode otherwise, for small and large sources alike — and
+// every result against a member-level reference aggregation.
 func TestRollUpFastPaths(t *testing.T) {
 	// Span-1 copy-through needs a dimension chunked one-member-per-chunk.
 	p := schema.MustNewDimension("P", []schema.HierarchySpec{{Name: "Group", Card: 4}, {Name: "Code", Card: 16}})
@@ -170,46 +203,56 @@ func TestRollUpFastPaths(t *testing.T) {
 	}
 	src := cm.Build(base, 0)
 
+	form := func(g *Grid, dstGB lattice.ID, dstNum int, src *Chunk) bool {
+		t.Helper()
+		var tr keyTranslation
+		copyThrough, err := g.translation(&tr, dstGB, dstNum, src.GB, int(src.Num))
+		if err != nil {
+			t.Fatalf("translation into %s chunk %d: %v", g.Lattice().LevelTupleString(dstGB), dstNum, err)
+		}
+		return copyThrough
+	}
+
 	// Same group-by: pure copy.
-	m, err := g.rollUpMapperFor(base, 0, base, 0)
-	if err != nil || !m.copyThrough {
-		t.Fatalf("same-gb mapper: %v copyThrough=%v", err, m != nil && m.copyThrough)
+	if !form(g, base, 0, src) {
+		t.Fatalf("same-gb roll-up should be copy-through")
 	}
-	out := NewCellMap()
-	if _, err := g.RollUpInto(out, base, 0, src); err != nil {
-		t.Fatalf("copy roll-up: %v", err)
-	}
-	same := out.Build(base, 0)
-	if same.Cells() != src.Cells() || same.Total() != src.Total() {
-		t.Fatalf("copy-through changed the chunk: %d/%v vs %d/%v",
-			same.Cells(), same.Total(), src.Cells(), src.Total())
-	}
+	checkRollUpAgainstReference(t, g, base, 0, src)
 
 	// Collapsing only the span-1 Store dimension: still copy-through.
 	storeAll := lat.MustID(2, 0, 2)
 	dst := g.DescendantChunk(base, 0, storeAll)
-	m, err = g.rollUpMapperFor(storeAll, dst, base, 0)
-	if err != nil {
-		t.Fatalf("span-1 mapper: %v", err)
-	}
-	if !m.copyThrough {
-		t.Fatalf("span-1-only collapse should be copy-through, got fused=%v generic=%v", m.fused != nil, m.tables != nil)
+	if !form(g, storeAll, dst, src) {
+		t.Fatalf("span-1-only collapse should be copy-through")
 	}
 	checkRollUpAgainstReference(t, g, storeAll, dst, src)
 
-	// A genuinely translating small source: fused table.
+	// A span-1 source dimension whose destination chunk is wider: Month
+	// chunks hold one member each, the Year chunk holds both years, so the
+	// month's year becomes a destination digit and keys must translate.
+	mp := schema.MustNewDimension("P", []schema.HierarchySpec{{Name: "Code", Card: 4}})
+	mt := schema.MustNewDimension("T", []schema.HierarchySpec{{Name: "Year", Card: 2}, {Name: "Month", Card: 8}})
+	mg := MustNewGrid(schema.MustNew("M", mp, mt), [][]int{{1, 1}, {1, 1, 8}})
+	mbase, year := mg.Lattice().Base(), mg.Lattice().MustID(1, 1)
+	mcm := NewCellMap()
+	for k := uint64(0); k < 4; k++ {
+		mcm.Add(k, float64(k+1))
+	}
+	msrc := mcm.Build(mbase, 6) // Month 6, in the second year
+	if form(mg, year, 0, msrc) {
+		t.Fatalf("span-1 dimension widening into its destination must translate keys")
+	}
+	checkRollUpAgainstReference(t, mg, year, 0, msrc)
+
+	// A genuinely translating source: the translated decode.
 	grp := lat.MustID(1, 1, 1)
 	dst = g.DescendantChunk(base, 0, grp)
-	m, err = g.rollUpMapperFor(grp, dst, base, 0)
-	if err != nil {
-		t.Fatalf("fused mapper: %v", err)
-	}
-	if m.copyThrough || m.fused == nil {
-		t.Fatalf("small translating source should fuse (copy=%v fused=%v)", m.copyThrough, m.fused != nil)
+	if form(g, grp, dst, src) {
+		t.Fatalf("Code→Group, Month→Year roll-up must translate keys")
 	}
 	checkRollUpAgainstReference(t, g, grp, dst, src)
 
-	// A source above fusedLimit: generic per-dimension path.
+	// A source above denseLimit into a dense top chunk: translated too.
 	big := bigChunkGrid(t)
 	blat := big.Lattice()
 	bcm := NewCellMap()
@@ -217,14 +260,50 @@ func TestRollUpFastPaths(t *testing.T) {
 		bcm.Add(uint64(rng.Intn(90000)), float64(1+rng.Intn(9)))
 	}
 	bsrc := bcm.Build(blat.Base(), 0)
-	m, err = big.rollUpMapperFor(blat.Top(), 0, blat.Base(), 0)
-	if err != nil {
-		t.Fatalf("generic mapper: %v", err)
-	}
-	if m.copyThrough || m.fused != nil || len(m.tables) == 0 {
-		t.Fatalf("large source should use the generic path (copy=%v fused=%v)", m.copyThrough, m.fused != nil)
+	if form(big, blat.Top(), 0, bsrc) {
+		t.Fatalf("large source into the top chunk must translate keys")
 	}
 	checkRollUpAgainstReference(t, big, blat.Top(), 0, bsrc)
+}
+
+// TestReciprocalDecodeExact pins the kernel's division-free decode: for
+// every span 2…4096 (plus spans near 2³²), hi64(reciprocal(span)·k) must
+// equal k/span at the multiples of span ±1 — where a truncated reciprocal
+// goes wrong first — from 0 up to the largest 32-bit numerator.
+func TestReciprocalDecodeExact(t *testing.T) {
+	const maxKey = 1<<32 - 1
+	rng := rand.New(rand.NewSource(3))
+	check := func(span, k uint64) {
+		if k > maxKey {
+			return
+		}
+		if got, want := quotient(k, reciprocal(span)), k/span; got != want {
+			t.Fatalf("span %d, k %d: quotient %d, want %d", span, k, got, want)
+		}
+	}
+	spans := []uint64{1<<31 - 1, 1 << 31, 1<<31 + 1, 1<<32 - 3, 1<<32 - 1}
+	for span := uint64(2); span <= 4096; span++ {
+		spans = append(spans, span)
+	}
+	for _, span := range spans {
+		top := maxKey / span
+		var qs []uint64
+		for q := uint64(0); q < 64 && q <= top; q++ {
+			qs = append(qs, q, top-q)
+		}
+		for i := 0; i < 64; i++ {
+			qs = append(qs, uint64(rng.Int63n(int64(top)+1)))
+		}
+		for _, q := range qs {
+			m := q * span
+			check(span, m)
+			check(span, m+1)
+			if m > 0 {
+				check(span, m-1)
+			}
+		}
+		check(span, maxKey)
+	}
 }
 
 // checkRollUpAgainstReference rolls src into (dstGB, dstNum) and compares
@@ -240,6 +319,7 @@ func checkRollUpAgainstReference(t *testing.T, g *Grid, dstGB lattice.ID, dstNum
 	got := cm.Build(dstGB, dstNum)
 
 	want := make(map[uint64]float64)
+	wantN := make(map[uint64]int64)
 	nd := g.Schema().NumDims()
 	for i, key := range src.Keys {
 		members := g.CellMembers(src.GB, int(src.Num), key, nil)
@@ -252,22 +332,27 @@ func checkRollUpAgainstReference(t *testing.T, g *Grid, dstGB lattice.ID, dstNum
 			t.Fatalf("reference cell landed in chunk %d, want %d", num, dstNum)
 		}
 		want[dk] += src.Vals[i]
+		if src.Counts == nil {
+			wantN[dk]++
+		} else {
+			wantN[dk] += src.Counts[i]
+		}
 	}
 	if got.Cells() != len(want) {
 		t.Fatalf("rolled %d cells, reference has %d", got.Cells(), len(want))
 	}
 	for i, key := range got.Keys {
-		if want[key] != got.Vals[i] {
-			t.Fatalf("cell %d: got %v want %v", key, got.Vals[i], want[key])
+		if want[key] != got.Vals[i] || wantN[key] != got.Counts[i] {
+			t.Fatalf("cell %d: got %v/%d want %v/%d", key, got.Vals[i], got.Counts[i], want[key], wantN[key])
 		}
 	}
 }
 
-// TestRollUpMapperCacheConcurrent hammers one fresh Grid's mapper cache from
-// many goroutines — every (source chunk, destination group-by) pair misses
-// initially, so builds race with lookups — and checks every result against a
+// TestRollUpConcurrentMatchesSerial rolls every chunk of one Grid up from
+// many goroutines at once, sharing the grid's offset tables and the
+// accumulator and scratch-chunk pools, and checks every result against a
 // serially computed reference. Run with -race (make race / CI does).
-func TestRollUpMapperCacheConcurrent(t *testing.T) {
+func TestRollUpConcurrentMatchesSerial(t *testing.T) {
 	g := rollupTestGrid(t)
 	lat := g.Lattice()
 	rng := rand.New(rand.NewSource(11))
@@ -279,7 +364,7 @@ func TestRollUpMapperCacheConcurrent(t *testing.T) {
 	baseChunks := buildBaseChunks(g, cells)
 
 	// Serial reference: total per (gb, chunk) from a second, isolated grid
-	// so the reference run does not warm the cache under test.
+	// so the run under test shares nothing with it.
 	ref := rollupTestGrid(t)
 	type target struct {
 		gb  lattice.ID

@@ -2,6 +2,8 @@ package chunk
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"aggcache/internal/lattice"
@@ -98,11 +100,10 @@ const denseLimit = 1 << 16
 // small-capacity chunks use a dense array (≈20× faster per tuple than
 // hashing); others fall back to a map.
 type CellMap struct {
-	m      map[uint64]cellAgg
-	dense  []float64
-	denseN []int64
-	occ    []uint64 // occupancy bitmap for dense mode
-	n      int
+	m     map[uint64]cellAgg
+	dense []cellAgg // dense-mode slots: sum and count side by side
+	occ   []uint64  // occupancy bitmap for dense mode
+	n     int
 	// isDense selects the active mode. A pooled accumulator keeps the dense
 	// arrays' capacity across a sparse reuse, so the flag — not the slices'
 	// nilness — is authoritative.
@@ -136,10 +137,8 @@ func (cm *CellMap) prepare(capacity int64) {
 		n := int(capacity)
 		if cap(cm.dense) >= n {
 			cm.dense = cm.dense[:n]
-			cm.denseN = cm.denseN[:n]
 		} else {
-			cm.dense = make([]float64, n)
-			cm.denseN = make([]int64, n)
+			cm.dense = make([]cellAgg, n)
 		}
 		w := (n + 63) / 64
 		if cap(cm.occ) >= w {
@@ -166,8 +165,9 @@ func (cm *CellMap) AddCell(key uint64, sum float64, count int64) {
 			cm.occ[key/64] |= 1 << (key % 64)
 			cm.n++
 		}
-		cm.dense[key] += sum
-		cm.denseN[key] += count
+		a := &cm.dense[key]
+		a.sum += sum
+		a.count += count
 		return
 	}
 	a := cm.m[key]
@@ -185,8 +185,9 @@ func (cm *CellMap) Len() int {
 }
 
 // Reset clears the accumulator for reuse. In dense mode it zeroes exactly
-// the occupied slots, which keeps the whole backing array zero — the
-// invariant pooled reuse at a different capacity relies on.
+// the occupied slots, visiting only the set bits of the occupancy bitmap,
+// which keeps the whole backing array zero — the invariant pooled reuse at
+// a different capacity relies on.
 func (cm *CellMap) Reset() {
 	if cm.isDense {
 		for i, w := range cm.occ {
@@ -194,11 +195,8 @@ func (cm *CellMap) Reset() {
 				continue
 			}
 			base := i * 64
-			for b := 0; b < 64; b++ {
-				if w&(1<<b) != 0 {
-					cm.dense[base+b] = 0
-					cm.denseN[base+b] = 0
-				}
+			for ; w != 0; w &= w - 1 {
+				cm.dense[base+bits.TrailingZeros64(w)] = cellAgg{}
 			}
 			cm.occ[i] = 0
 		}
@@ -223,98 +221,40 @@ func (cm *CellMap) Build(gb lattice.ID, num int) *Chunk {
 func (cm *CellMap) BuildInto(gb lattice.ID, num int, c *Chunk) *Chunk {
 	n := cm.Len()
 	c.GB, c.Num = gb, int32(num)
-	if cap(c.Keys) < n {
-		c.Keys = make([]uint64, 0, n)
-		c.Vals = make([]float64, 0, n)
-		c.Counts = make([]int64, 0, n)
+	if cap(c.Keys) < n || cap(c.Vals) < n || cap(c.Counts) < n {
+		c.Keys = make([]uint64, n)
+		c.Vals = make([]float64, n)
+		c.Counts = make([]int64, n)
 	} else {
-		c.Keys = c.Keys[:0]
-		c.Vals = c.Vals[:0]
-		c.Counts = c.Counts[:0]
+		c.Keys = c.Keys[:n]
+		c.Vals = c.Vals[:n]
+		c.Counts = c.Counts[:n]
 	}
+	keys, vals, counts := c.Keys, c.Vals, c.Counts
+	j := 0
 	if cm.isDense {
+		// Walk only the set bits; they come out in ascending key order.
 		for i, w := range cm.occ {
-			if w == 0 {
-				continue
-			}
-			base := uint64(i) * 64
-			for b := uint64(0); b < 64; b++ {
-				if w&(1<<b) != 0 {
-					c.Keys = append(c.Keys, base+b)
-					c.Vals = append(c.Vals, cm.dense[base+b])
-					c.Counts = append(c.Counts, cm.denseN[base+b])
-				}
+			base := i * 64
+			for ; w != 0; w &= w - 1 {
+				k := base + bits.TrailingZeros64(w)
+				a := cm.dense[k]
+				keys[j], vals[j], counts[j] = uint64(k), a.sum, a.count
+				j++
 			}
 		}
 		return c
 	}
 	for k := range cm.m {
-		c.Keys = append(c.Keys, k)
+		keys[j] = k
+		j++
 	}
-	sort.Slice(c.Keys, func(i, j int) bool { return c.Keys[i] < c.Keys[j] })
-	for _, k := range c.Keys {
+	slices.Sort(keys)
+	for i, k := range keys {
 		a := cm.m[k]
-		c.Vals = append(c.Vals, a.sum)
-		c.Counts = append(c.Counts, a.count)
+		vals[i], counts[i] = a.sum, a.count
 	}
 	return c
-}
-
-// RollUpInto aggregates every cell of src into dst, translating cell keys
-// from the source chunk's coordinate space to the destination chunk at
-// (dstGB, dstNum). The source group-by must be an ancestor (componentwise ≥)
-// of dstGB and the source chunk must lie inside the destination chunk's
-// region. It returns the number of cells scanned.
-//
-// The key translation runs off a mapper memoized on the Grid (see
-// rollUpMapper), so the steady state builds no tables and allocates nothing;
-// per cell it does one table lookup on the fused path, or one div/mod per
-// non-trivial dimension on the generic path.
-func (g *Grid) RollUpInto(dst *CellMap, dstGB lattice.ID, dstNum int, src *Chunk) (int, error) {
-	m, err := g.rollUpMapperFor(dstGB, dstNum, src.GB, int(src.Num))
-	if err != nil {
-		return 0, err
-	}
-	counts := src.Counts
-	switch {
-	case m.copyThrough:
-		if counts == nil {
-			for i, key := range src.Keys {
-				dst.AddCell(key, src.Vals[i], 1)
-			}
-		} else {
-			for i, key := range src.Keys {
-				dst.AddCell(key, src.Vals[i], counts[i])
-			}
-		}
-	case m.fused != nil:
-		fused := m.fused
-		if counts == nil {
-			for i, key := range src.Keys {
-				dst.AddCell(uint64(fused[key]), src.Vals[i], 1)
-			}
-		} else {
-			for i, key := range src.Keys {
-				dst.AddCell(uint64(fused[key]), src.Vals[i], counts[i])
-			}
-		}
-	default:
-		for i, key := range src.Keys {
-			dk := m.base
-			k := key
-			for j, span := range m.spans {
-				off := k % span
-				k /= span
-				dk += uint64(m.tables[j][off]) * m.strides[j]
-			}
-			count := int64(1)
-			if counts != nil {
-				count = counts[i]
-			}
-			dst.AddCell(dk, src.Vals[i], count)
-		}
-	}
-	return len(src.Keys), nil
 }
 
 // Slice returns the cells of c whose members fall inside the given absolute
