@@ -89,11 +89,12 @@ fuzz-wire:
 fuzz-peer:
 	$(GO) test ./internal/mtier -run XXX -fuzz FuzzPeerFrame -fuzztime 10s
 
-# soak-shards runs the sharded-store concurrency suite under the race
-# detector: the cache-level invariant soak plus the engine-level soak whose
-# 4-shard subject must match a serialized single-lock reference.
+# soak-shards runs the chunk-store concurrency suite under the race
+# detector at 1, 2, 4 and 8 shards: the cache-level invariant soak and
+# model-equivalence replay plus the engine-level soak whose one-shard and
+# 4-shard subjects must match a serialized reference engine.
 soak-shards:
-	$(GO) test -race -run 'Sharded|ShardDistribution|StoreStats|ConcurrentSoak|EngineConcurrent' ./internal/cache ./internal/core
+	$(GO) test -race -run 'Sharded|ShardDistribution|ShardSelection|StoreStats|ConcurrentSoak|EngineConcurrent' ./internal/cache ./internal/core
 
 # soak-cluster runs the 3-node in-process cluster under the race detector
 # with one fault-injected peer: every query must still be served.

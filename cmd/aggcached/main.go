@@ -54,7 +54,7 @@ func main() {
 		seedFlag        = flag.Int64("seed", 1, "generator seed (in-process backend)")
 		stratFlag       = flag.String("strategy", "VCMC", "lookup strategy: ESM|ESMC|VCM|VCMC|NoAgg")
 		cacheKBFlag     = flag.Int64("cache-kb", 512, "cache size in KB")
-		shardsFlag      = flag.Int("cache-shards", 1, "cache shard count (power of two, max 64); 1 = single lock, 0 = auto (GOMAXPROCS)")
+		shardsFlag      = flag.Int("cache-shards", 1, "cache shard count (rounded up to a power of two, max 64); 1 = one shard behind one lock, 0 = auto (GOMAXPROCS)")
 		backendFlag     = flag.String("backend", "", "remote backend address (empty = in-process)")
 		listenFlag      = flag.String("listen", "127.0.0.1:7071", "listen address")
 		preloadFlag     = flag.Bool("preload", false, "preload the best-fitting group-by before serving")
@@ -168,10 +168,7 @@ func main() {
 	if reg != nil {
 		strat = strategy.Instrument(strat, obs.NewStrategyMetrics(reg, strat.Name()))
 	}
-	var copts []cache.Option
-	if *shardsFlag != 1 {
-		copts = append(copts, cache.WithShards(*shardsFlag))
-	}
+	copts := []cache.Option{cache.WithShards(*shardsFlag)}
 	if reg != nil {
 		copts = append(copts, cache.WithMetrics(obs.NewCacheMetrics(reg)))
 	}
@@ -310,12 +307,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	shards := 1
-	if sh, ok := c.(interface{ Shards() int }); ok {
-		shards = sh.Shards()
-	}
 	fmt.Printf("aggcached: %s scale, %s strategy, %dKB cache (%d shard(s)), serving on %s\n",
-		scale, strat.Name(), *cacheKBFlag, shards, addr)
+		scale, strat.Name(), *cacheKBFlag, c.Shards(), addr)
 	if *opsFlag != "" {
 		opsAddr, err := srv.ServeOps(*opsFlag)
 		if err != nil {

@@ -38,7 +38,7 @@ func main() {
 		seedFlag        = flag.Int64("seed", 1, "generator seed")
 		stratFlag       = flag.String("strategy", "VCMC", "lookup strategy: ESM|ESMC|VCM|VCMC|NoAgg")
 		cacheKBFlag     = flag.Int64("cache-kb", 256, "cache size in KB")
-		shardsFlag      = flag.Int("cache-shards", 1, "cache shard count (power of two, max 64); 1 = single lock, 0 = auto (GOMAXPROCS)")
+		shardsFlag      = flag.Int("cache-shards", 1, "cache shard count (rounded up to a power of two, max 64); 1 = one shard behind one lock, 0 = auto (GOMAXPROCS)")
 		backendFlag     = flag.String("backend", "", "remote backend address (empty = in-process)")
 		rowsFlag        = flag.Int("rows", 20, "max result rows to print")
 		maxFrame        = flag.Int("wire-max-frame", 0, "max wire frame payload in bytes for the remote backend (0 = 64MiB default)")
@@ -93,10 +93,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var copts []cache.Option
-	if *shardsFlag != 1 {
-		copts = append(copts, cache.WithShards(*shardsFlag))
-	}
+	copts := []cache.Option{cache.WithShards(*shardsFlag)}
 	// With recycling, replacement runs the probation+promote variant so
 	// recycled intermediates earn their place via reuse.
 	pol := cache.NewTwoLevel()

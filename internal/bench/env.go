@@ -201,8 +201,8 @@ type SystemSpec struct {
 	ColdBytes int64
 	Preload   bool
 	Budget    int64
-	// Shards selects the cache's stripe count: 0 builds the single-lock
-	// reference store, anything else is passed to cache.WithShards.
+	// Shards selects the cache's stripe count: 0 keeps cache.New's default
+	// of one shard, anything else is passed to cache.WithShards.
 	Shards int
 	// EngineOpts tune the engine (core.WithCostBypass, core.WithReinforce,
 	// …).

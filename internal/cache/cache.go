@@ -7,11 +7,9 @@ package cache
 
 import (
 	"fmt"
-	"sync"
 
 	"aggcache/internal/chunk"
 	"aggcache/internal/lattice"
-	"aggcache/internal/obs"
 )
 
 // Key identifies a chunk of a group-by.
@@ -157,6 +155,11 @@ type Policy interface {
 	// NextVictim returns the next unpinned entry to evict to make room for
 	// an incoming entry of class cl, or nil to deny admission.
 	NextVictim(cl Class) *Entry
+	// Fork returns a new empty policy of the same kind and configuration.
+	// The store runs one instance per shard (policies are stateful and
+	// synchronized by their shard's lock); New forks the seed policy for
+	// every shard after the first.
+	Fork() Policy
 }
 
 // Stats counts cache activity. Evictions counts only policy-driven victim
@@ -167,344 +170,4 @@ type Stats struct {
 	Inserts, Evictions int64
 	Removals           int64 // explicit removals via Evict
 	Denied             int64 // admissions denied by the policy
-}
-
-// Cache is the single-lock reference Store: a bounded chunk cache guarded by
-// one internal mutex.
-//
-// Locking contract: every method acquires c.mu, so concurrent callers are
-// safe without external locking. Listener and Policy callbacks fire
-// synchronously under c.mu — they must not call back into the cache. Chunk
-// payloads (*chunk.Chunk) are immutable, so a payload pointer obtained from
-// Get/Peek may be read after the call returns, provided the entry stays
-// pinned so the policy cannot evict it while readers hold the pointer.
-//
-// Construct instances through New (which returns the Store interface); the
-// concrete type is exported so tests and the sharded store can reference the
-// single-shard semantics.
-type Cache struct {
-	mu       sync.Mutex
-	capacity int64
-	used     int64
-	entries  map[Key]*Entry
-	policy   Policy
-	listener Listener
-	// hook is the tier seam a Tiered wrapper installs; nil for a bare store.
-	// Set before the store serves traffic.
-	hook  tierHook
-	stats Stats
-	// met is the optional live-metrics bundle; its zero value records
-	// nothing. The handles are atomics, so an ops scraper can read them
-	// while writers mutate the cache under c.mu.
-	met obs.CacheMetrics
-}
-
-// SetListener registers the strategy callback; pass nil to clear.
-func (c *Cache) SetListener(l Listener) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.listener = l
-}
-
-// setTierHook implements hookable.
-func (c *Cache) setTierHook(h tierHook) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.hook = h
-}
-
-// SetMetrics attaches live observability metrics; call it before the cache
-// serves traffic (it is synchronized like every other cache method). The
-// occupancy gauges are initialized from the current state.
-func (c *Cache) SetMetrics(m obs.CacheMetrics) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.met = m
-	c.met.CapacityBytes.Set(c.capacity)
-	c.syncGauges()
-}
-
-// syncGauges publishes occupancy after a mutation; caller holds c.mu.
-func (c *Cache) syncGauges() {
-	c.met.OccupancyBytes.Set(c.used)
-	c.met.ResidentChunks.Set(int64(len(c.entries)))
-}
-
-// Shards reports the stripe count (always 1 for the reference store).
-func (c *Cache) Shards() int { return 1 }
-
-// Capacity returns the byte bound.
-func (c *Cache) Capacity() int64 { return c.capacity }
-
-// Used returns the bytes currently charged.
-func (c *Cache) Used() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.used
-}
-
-// Len returns the number of resident chunks.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Stats returns a consistent copy of the activity counters.
-func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
-// Policy returns the replacement policy.
-func (c *Cache) Policy() Policy { return c.policy }
-
-// Contains reports residence without touching replacement state; lookup
-// strategies probe with it.
-func (c *Cache) Contains(k Key) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[k]
-	return ok
-}
-
-// Get returns the chunk payload for k, updating replacement state on a hit.
-func (c *Cache) Get(k Key) (*chunk.Chunk, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[k]
-	if !ok {
-		c.stats.Misses++
-		c.met.Misses.Inc()
-		return nil, false
-	}
-	c.stats.Hits++
-	c.met.Hits.Inc()
-	c.policy.Accessed(e)
-	return e.Data, true
-}
-
-// GetInfo is Get plus the entry's replacement attributes: the peer tier
-// serves PeerGet from it so a fill carries the owner's class and benefit
-// across the wire. Serving a peer counts as an access — a chunk the group
-// keeps asking for should stay resident on its owner.
-func (c *Cache) GetInfo(k Key) (*chunk.Chunk, Class, float64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[k]
-	if !ok {
-		c.stats.Misses++
-		c.met.Misses.Inc()
-		return nil, 0, 0, false
-	}
-	c.stats.Hits++
-	c.met.Hits.Inc()
-	c.policy.Accessed(e)
-	return e.Data, e.Class, e.Benefit, true
-}
-
-// Peek returns the chunk payload without touching replacement state or
-// hit/miss counters.
-func (c *Cache) Peek(k Key) (*chunk.Chunk, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[k]
-	if !ok {
-		return nil, false
-	}
-	return e.Data, true
-}
-
-// Insert makes data resident under k, evicting per the policy as needed, and
-// reports whether the chunk was admitted. With no options the chunk enters as
-// a backend-class resident with zero benefit; see InsertOption for the
-// residency variants. Re-inserting a resident key replaces the payload,
-// re-charges the byte delta (evicting if the cache overflows), refreshes
-// class/benefit and counts as an access; presence is unchanged, so no
-// listener event fires. A chunk larger than the whole cache is not admitted,
-// and an oversized replacement leaves the old entry resident.
-func (c *Cache) Insert(k Key, data *chunk.Chunk, opts ...InsertOption) bool {
-	return c.insert(k, data, applyInsertOptions(opts))
-}
-
-func (c *Cache) insert(k Key, data *chunk.Chunk, spec insertSpec) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	need := data.Bytes()
-	if need > c.capacity {
-		c.stats.Denied++
-		c.met.Denied.Inc()
-		return false
-	}
-	if e, ok := c.entries[k]; ok {
-		if delta := need - e.Bytes(); delta > 0 {
-			// Shield the entry being replaced from the victim scan.
-			e.pins++
-			for c.used+delta > c.capacity {
-				v := c.policy.NextVictim(spec.class)
-				if v == nil {
-					e.pins--
-					c.stats.Denied++
-					c.met.Denied.Inc()
-					return false
-				}
-				c.remove(v, true)
-			}
-			e.pins--
-		}
-		c.used += need - e.Bytes()
-		e.Data = data
-		if e.Class != spec.class {
-			// Migrate to the ring matching the new class.
-			c.policy.Removed(e)
-			e.Class = spec.class
-			c.policy.Added(e)
-		}
-		e.Benefit = spec.benefit
-		// e.Recycled keeps its insert-time value: replacement fires no
-		// listener events, and the strategy's eviction dual must match
-		// whatever maintenance OnInsert performed for this residency.
-		c.policy.Accessed(e)
-		c.met.Replacements.Inc()
-		c.syncGauges()
-		return true
-	}
-	if c.hook != nil {
-		// A cold-resident key makes this insert a promotion: the chunk never
-		// stopped being answerable, so its preserved residency attributes
-		// override the caller's and no OnInsert fires. Decided here, under
-		// the lock that serializes this key's transitions.
-		if ps, wasCold := c.hook.peekCold(k); wasCold {
-			spec = ps
-		}
-	}
-	for c.used+need > c.capacity {
-		v := c.policy.NextVictim(spec.class)
-		if v == nil {
-			c.stats.Denied++
-			c.met.Denied.Inc()
-			return false
-		}
-		c.remove(v, true)
-	}
-	if spec.promoted && c.hook != nil {
-		c.hook.claimCold(k)
-	}
-	e := &Entry{Key: k, Data: data, Class: spec.class, Benefit: spec.benefit, Recycled: spec.recycled, Promoted: spec.promoted}
-	c.entries[k] = e
-	c.used += need
-	c.stats.Inserts++
-	c.met.Inserts.Inc()
-	c.policy.Added(e)
-	c.syncGauges()
-	if c.listener != nil {
-		if spec.promoted {
-			c.listener.OnEvent(Event{Key: k, Reason: Promoted, Entry: e})
-		} else {
-			c.listener.OnInsert(e)
-		}
-	}
-	return true
-}
-
-// Evict removes k if resident; used by tests and administrative tooling.
-// Explicit removals count as Stats.Removals, not Stats.Evictions.
-func (c *Cache) Evict(k Key) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[k]
-	if !ok {
-		return false
-	}
-	c.remove(e, false)
-	return true
-}
-
-// remove drops e from the cache. policyEvict distinguishes policy-driven
-// victim eviction (counted as Evictions) from administrative removal
-// (counted as Removals); the listener is notified either way so strategies
-// stay consistent with residence.
-func (c *Cache) remove(e *Entry, policyEvict bool) {
-	delete(c.entries, e.Key)
-	c.used -= e.Bytes()
-	if policyEvict {
-		c.stats.Evictions++
-		c.met.EvictionsPolicy.Inc()
-	} else {
-		c.stats.Removals++
-		c.met.EvictionsAdmin.Inc()
-	}
-	c.syncGauges()
-	c.policy.Removed(e)
-	reason := Removed
-	if policyEvict {
-		reason = Evicted
-		if c.hook != nil && c.hook.demote(e) {
-			reason = Demoted
-		}
-	}
-	if c.listener != nil {
-		c.listener.OnEvent(Event{Key: e.Key, Reason: reason, Entry: e})
-	}
-}
-
-// Pin marks k in use so the policy will not evict it; it must be balanced by
-// Unpin. Pinning a non-resident key returns false.
-func (c *Cache) Pin(k Key) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[k]
-	if !ok {
-		c.met.PinFailures.Inc()
-		return false
-	}
-	e.pins++
-	return true
-}
-
-// Unpin releases one pin on k.
-func (c *Cache) Unpin(k Key) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[k]; ok && e.pins > 0 {
-		e.pins--
-	}
-}
-
-// Reinforce bumps the replacement weight of every listed resident chunk by
-// benefit — the two-level policy's group maintenance (§6.3: "whenever a
-// group of chunks is used to compute another chunk, the clock value of all
-// the chunks in the group is incremented by ... the benefit of the
-// aggregated chunk").
-func (c *Cache) Reinforce(keys []Key, benefit float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, k := range keys {
-		if e, ok := c.entries[k]; ok {
-			c.policy.Reinforced(e, benefit)
-		}
-	}
-}
-
-// Keys appends all resident keys to dst; order is unspecified.
-func (c *Cache) Keys(dst []Key) []Key {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k := range c.entries {
-		dst = append(dst, k)
-	}
-	return dst
-}
-
-// Range calls fn for every resident entry (order unspecified) with the
-// entry's payload, class, benefit and recycled mark; used for snapshots and
-// diagnostics. fn runs under the cache lock and must not call back into the
-// cache.
-func (c *Cache) Range(fn func(k Key, data *chunk.Chunk, cl Class, benefit float64, recycled bool)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k, e := range c.entries {
-		fn(k, e.Data, e.Class, e.Benefit, e.Recycled)
-	}
 }

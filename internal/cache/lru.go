@@ -39,7 +39,7 @@ func (p *LRU) NextVictim(Class) *Entry {
 	return nil
 }
 
-// Fork implements Forker.
+// Fork implements Policy.
 func (p *LRU) Fork() Policy { return NewLRU() }
 
 func (p *LRU) pushFront(e *Entry) {

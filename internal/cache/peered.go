@@ -512,14 +512,7 @@ func (p *Peered) Peek(k Key) (*chunk.Chunk, bool) { return p.local.Peek(k) }
 // answering one peer's lookup from another peer would let a chunk resident
 // nowhere bounce around the ring.
 func (p *Peered) GetInfo(k Key) (*chunk.Chunk, Class, float64, bool) {
-	type infoStore interface {
-		GetInfo(Key) (*chunk.Chunk, Class, float64, bool)
-	}
-	if is, ok := p.local.(infoStore); ok {
-		return is.GetInfo(k)
-	}
-	data, ok := p.local.Get(k)
-	return data, ClassBackend, 0, ok
+	return p.local.GetInfo(k)
 }
 
 // Insert implements Store: the chunk becomes resident locally, and backend
@@ -580,11 +573,5 @@ func (p *Peered) SetMetrics(m obs.CacheMetrics) { p.local.SetMetrics(m) }
 // Policy implements Store.
 func (p *Peered) Policy() Policy { return p.local.Policy() }
 
-// Shards reports the local tier's shard count (1 when it is not striped),
-// so ops banners see through the cluster wrapper.
-func (p *Peered) Shards() int {
-	if sh, ok := p.local.(interface{ Shards() int }); ok {
-		return sh.Shards()
-	}
-	return 1
-}
+// Shards implements Store, reporting the local tier's stripe count.
+func (p *Peered) Shards() int { return p.local.Shards() }

@@ -154,7 +154,7 @@ func (p *BenefitClock) Reinforced(e *Entry, benefit float64) { p.Accessed(e) }
 // NextVictim implements Policy; class is ignored by the baseline.
 func (p *BenefitClock) NextVictim(Class) *Entry { return p.r.sweep() }
 
-// Fork implements Forker.
+// Fork implements Policy.
 func (p *BenefitClock) Fork() Policy { return NewBenefitClock() }
 
 // TwoLevel is the paper's replacement policy (§6.3):
@@ -285,7 +285,7 @@ func (p *TwoLevel) NextVictim(cl Class) *Entry {
 	return p.backend.sweep()
 }
 
-// Fork implements Forker, preserving the promote-on-reuse setting.
+// Fork implements Policy, preserving the promote-on-reuse setting.
 func (p *TwoLevel) Fork() Policy {
 	if p.promote {
 		return NewTwoLevelPromote()

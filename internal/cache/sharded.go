@@ -10,11 +10,18 @@ import (
 	"aggcache/internal/obs"
 )
 
-// Sharded is the lock-striped Store: keys are spread across a power-of-two
-// number of shards by a cheap hash of (GB, Num), and each shard is an
-// independent map + policy instance guarded by its own mutex. Concurrent
-// queries touching different shards never contend, which removes the last
-// global serialization point on the middle tier's hot path.
+// Sharded is the chunk store: keys are spread across a power-of-two number
+// of shards by a cheap hash of (GB, Num), and each shard is an independent
+// map + policy instance guarded by its own mutex. With one shard (the
+// default) it is a single-lock store; with more, concurrent queries touching
+// different shards never contend.
+//
+// Locking contract: every method synchronizes internally. Listener and
+// Policy callbacks fire synchronously under the lock of the shard owning the
+// affected key — they must not call back into the store. Chunk payloads
+// (*chunk.Chunk) are immutable, so a payload pointer obtained from Get/Peek
+// may be read after the call returns, provided the entry stays pinned so the
+// policy cannot evict it while readers hold the pointer.
 //
 // Capacity is partitioned per shard with a borrow margin: each shard may
 // charge up to capacity/N plus half again (so a hot shard can steal headroom
@@ -55,27 +62,24 @@ type shard struct {
 }
 
 // newSharded builds an n-shard store; n must be a power of two in
-// [2, MaxShards]. The seed policy serves shard 0, the factory builds the
-// rest. Callers go through New.
-func newSharded(capacity int64, n int, seed Policy, factory func() Policy) (*Sharded, error) {
-	if n < 2 || n > MaxShards || n&(n-1) != 0 {
-		return nil, fmt.Errorf("cache: shard count must be a power of two in [2, %d], got %d", MaxShards, n)
+// [1, MaxShards]. The seed policy serves shard 0 and is forked for the rest.
+// Callers go through New.
+func newSharded(capacity int64, n int, seed Policy) (*Sharded, error) {
+	if n < 1 || n > MaxShards || n&(n-1) != 0 {
+		return nil, fmt.Errorf("cache: shard count must be a power of two in [1, %d], got %d", MaxShards, n)
 	}
 	base := capacity / int64(n)
 	limit := base + base/2
 	if limit <= 0 || limit > capacity {
-		// Degenerate capacities (fewer bytes than shards) fall back to the
-		// global bound only.
+		// One shard, or a degenerate capacity (fewer bytes than shards):
+		// the global bound is the only bound.
 		limit = capacity
 	}
 	c := &Sharded{capacity: capacity, limit: limit, mask: uint64(n - 1), shards: make([]shard, n)}
 	for i := range c.shards {
 		p := seed
 		if i > 0 {
-			p = factory()
-			if p == nil {
-				return nil, fmt.Errorf("cache: policy factory returned nil for shard %d", i)
-			}
+			p = seed.Fork()
 		}
 		c.shards[i].entries = make(map[Key]*Entry)
 		c.shards[i].policy = p
@@ -118,13 +122,13 @@ func (c *Sharded) syncGauges() {
 	c.met.ResidentChunks.Set(c.resident.Load())
 }
 
-// Shards reports the stripe count.
+// Shards implements Store.
 func (c *Sharded) Shards() int { return len(c.shards) }
 
 // SetListener implements Store.
 func (c *Sharded) SetListener(l Listener) { c.listener = l }
 
-// setTierHook implements hookable.
+// setTierHook installs the Tiered wrapper's seam.
 func (c *Sharded) setTierHook(h tierHook) { c.hook = h }
 
 // SetMetrics implements Store.
@@ -193,8 +197,10 @@ func (c *Sharded) Get(k Key) (*chunk.Chunk, bool) {
 	return data, true
 }
 
-// GetInfo is Get plus the entry's replacement attributes, for the peer tier
-// (see Cache.GetInfo).
+// GetInfo is Get plus the entry's replacement attributes: the peer tier
+// serves PeerGet from it so a fill carries the owner's class and benefit
+// across the wire. Serving a peer counts as an access — a chunk the group
+// keeps asking for should stay resident on its owner.
 func (c *Sharded) GetInfo(k Key) (*chunk.Chunk, Class, float64, bool) {
 	s := c.shard(k)
 	s.mu.Lock()
@@ -226,8 +232,17 @@ func (c *Sharded) Peek(k Key) (*chunk.Chunk, bool) {
 	return data, ok
 }
 
-// Insert implements Store with the same replacement semantics as
-// Cache.Insert, bounded by both the shard limit (local evictions make room)
+// Insert implements Store: it makes data resident under k, evicting per the
+// policy as needed, and reports whether the chunk was admitted. With no
+// options the chunk enters as a backend-class resident with zero benefit;
+// see InsertOption for the residency variants. Re-inserting a resident key
+// replaces the payload, re-charges the byte delta (evicting if the store
+// overflows), refreshes class/benefit and counts as an access; presence is
+// unchanged, so no listener event fires. A chunk larger than the shard limit
+// is not admitted, and an oversized replacement leaves the old entry
+// resident.
+//
+// Admission is bounded by both the shard limit (local evictions make room)
 // and the global capacity (reserved atomically, evicting locally until the
 // reservation fits).
 func (c *Sharded) Insert(k Key, data *chunk.Chunk, opts ...InsertOption) bool {
@@ -277,9 +292,10 @@ func (c *Sharded) insert(k Key, data *chunk.Chunk, spec insertSpec) bool {
 		return true
 	}
 	if c.hook != nil {
-		// A cold-resident key makes this insert a promotion (see
-		// Cache.insert); decided under the shard lock that serializes this
-		// key's tier transitions.
+		// A cold-resident key makes this insert a promotion: the chunk never
+		// stopped being answerable, so its preserved residency attributes
+		// override the caller's and no OnInsert fires. Decided under the
+		// shard lock that serializes this key's tier transitions.
 		if ps, wasCold := c.hook.peekCold(k); wasCold {
 			spec = ps
 		}
@@ -346,7 +362,10 @@ func (c *Sharded) Evict(k Key) bool {
 }
 
 // removeLocked drops e from s (whose lock the caller holds), releasing its
-// global reservation; see Cache.remove for the Evictions/Removals split.
+// global reservation. policyEvict distinguishes policy-driven victim
+// eviction (counted as Evictions) from administrative removal (counted as
+// Removals); the listener is notified either way so strategies stay
+// consistent with residence.
 func (c *Sharded) removeLocked(s *shard, e *Entry, policyEvict bool) {
 	delete(s.entries, e.Key)
 	s.used -= e.Bytes()

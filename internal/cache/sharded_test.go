@@ -10,16 +10,6 @@ import (
 	"aggcache/internal/lattice"
 )
 
-// stubPolicy is a minimal Policy that deliberately does not implement Forker.
-type stubPolicy struct{}
-
-func (stubPolicy) Name() string               { return "stub" }
-func (stubPolicy) Added(*Entry)               {}
-func (stubPolicy) Removed(*Entry)             {}
-func (stubPolicy) Accessed(*Entry)            {}
-func (stubPolicy) Reinforced(*Entry, float64) {}
-func (stubPolicy) NextVictim(cl Class) *Entry { return nil }
-
 func newSharded4(t *testing.T, capacity int64) *Sharded {
 	t.Helper()
 	s, err := New(capacity, NewTwoLevel(), WithShards(4))
@@ -40,14 +30,18 @@ func shardKey(c *Sharded, want uint64, from int) Key {
 }
 
 func TestNewShardSelection(t *testing.T) {
-	// Default and n=1 build the single-lock reference store.
+	// Default and n=1 build one shard whose limit is the whole capacity.
 	for _, opts := range [][]Option{nil, {WithShards(1)}} {
 		s, err := New(1000, NewLRU(), opts...)
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		if _, ok := s.(*Cache); !ok {
-			t.Fatalf("expected *Cache, got %T", s)
+		sh, ok := s.(*Sharded)
+		if !ok {
+			t.Fatalf("expected *Sharded, got %T", s)
+		}
+		if sh.Shards() != 1 || sh.limit != sh.capacity {
+			t.Fatalf("%d options: %d shards with limit %d, want 1 shard with limit %d", len(opts), sh.Shards(), sh.limit, sh.capacity)
 		}
 	}
 	// Requested counts round up to a power of two and cap at MaxShards.
@@ -69,20 +63,25 @@ func TestNewShardSelection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WithShards(0): %v", err)
 	}
-	if n, ok := s.(interface{ Shards() int }); !ok || n.Shards() < 1 {
-		t.Fatalf("auto store has no shard count: %T", s)
+	if n := s.Shards(); n < 1 || n > MaxShards || n&(n-1) != 0 {
+		t.Fatalf("auto store has %d shards", n)
 	}
-	// A policy without Fork cannot back a sharded store …
-	if _, err := New(1000, stubPolicy{}, WithShards(2)); err == nil {
-		t.Fatalf("non-Forker policy accepted for a sharded store")
+	// Every shard runs its own policy instance.
+	s4, err := New(1000, NewLRU(), WithShards(4))
+	if err != nil {
+		t.Fatalf("WithShards(4): %v", err)
 	}
-	// … unless a factory supplies the extra instances.
-	if _, err := New(1000, stubPolicy{}, WithShards(2), WithPolicyFactory(func() Policy { return stubPolicy{} })); err != nil {
-		t.Fatalf("WithPolicyFactory: %v", err)
+	sh4 := s4.(*Sharded)
+	for i := 1; i < len(sh4.shards); i++ {
+		if sh4.shards[i].policy == sh4.shards[0].policy {
+			t.Fatalf("shard %d shares shard 0's policy instance", i)
+		}
 	}
 	// Invalid direct constructions are rejected.
-	if _, err := newSharded(1000, 3, NewLRU(), func() Policy { return NewLRU() }); err == nil {
-		t.Fatalf("newSharded accepted a non-power-of-two count")
+	for _, n := range []int{0, 3, 2 * MaxShards} {
+		if _, err := newSharded(1000, n, NewLRU()); err == nil {
+			t.Fatalf("newSharded accepted shard count %d", n)
+		}
 	}
 }
 
@@ -120,8 +119,9 @@ func TestShardDistributionUniformity(t *testing.T) {
 	}
 }
 
-// TestShardedBasics mirrors TestCacheBasics on a 4-shard store: the Store
-// surface must behave identically whichever implementation backs it.
+// TestShardedBasics mirrors TestCacheBasics (which runs on the default
+// one-shard store) on a 4-shard store: the Store surface must behave
+// identically whatever the stripe count.
 func TestShardedBasics(t *testing.T) {
 	c := newSharded4(t, 100_000)
 	for num := 0; num < 8; num++ {
@@ -213,7 +213,7 @@ func TestShardedPinInterleavings(t *testing.T) {
 		t.Fatalf("pinned a missing key")
 	}
 	c.Unpin(a2)
-	// Administrative Evict overrides pins, exactly like the reference store.
+	// Administrative Evict overrides pins.
 	if !c.Evict(a1) {
 		t.Fatalf("admin evict of a pinned key failed")
 	}
@@ -327,60 +327,96 @@ func TestShardedReinforceKeepsGroup(t *testing.T) {
 	}
 }
 
-// TestShardedEquivalence runs one deterministic operation sequence against
-// the single-lock store and a 4-shard store with headroom (no evictions) and
-// requires identical observable state: the implementations may only diverge
-// in victim choice, never in residence semantics.
+// storeModel is the reference for TestShardedEquivalence: a map of
+// resident chunks plus their byte total, with no replacement policy. The
+// replay runs with headroom, so a store under test never evicts and must
+// match the model exactly.
+type storeModel struct {
+	chunks map[Key]*chunk.Chunk
+	used   int64
+	stats  Stats
+}
+
+func (m *storeModel) insert(k Key, data *chunk.Chunk) {
+	if old, ok := m.chunks[k]; ok {
+		m.used -= old.Bytes()
+	} else {
+		m.stats.Inserts++
+	}
+	m.chunks[k] = data
+	m.used += data.Bytes()
+}
+
+func (m *storeModel) get(k Key) (*chunk.Chunk, bool) {
+	d, ok := m.chunks[k]
+	if ok {
+		m.stats.Hits++
+	} else {
+		m.stats.Misses++
+	}
+	return d, ok
+}
+
+func (m *storeModel) evict(k Key) bool {
+	d, ok := m.chunks[k]
+	if ok {
+		delete(m.chunks, k)
+		m.used -= d.Bytes()
+		m.stats.Removals++
+	}
+	return ok
+}
+
+// TestShardedEquivalence replays one deterministic operation sequence
+// against the reference model and against 1- and 4-shard stores with
+// headroom (no evictions), and requires identical observable state: the
+// stripe count may only change victim choice, never residence semantics.
 func TestShardedEquivalence(t *testing.T) {
-	single, err := New(1<<20, NewTwoLevel())
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	sharded, err := New(1<<20, NewTwoLevel(), WithShards(4))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	rng := rand.New(rand.NewSource(42))
-	for op := 0; op < 2000; op++ {
-		num := rng.Intn(200)
-		switch rng.Intn(6) {
-		case 0, 1, 2:
-			n := 1 + rng.Intn(20)
-			opt := AsBackend
-			if rng.Intn(2) == 1 {
-				opt = AsComputed
-			}
-			b := float64(rng.Intn(1000))
-			if single.Insert(key(num), mkChunk(0, num, n), opt(b)) != sharded.Insert(key(num), mkChunk(0, num, n), opt(b)) {
-				t.Fatalf("op %d: Insert verdicts differ", op)
-			}
-		case 3:
-			d1, ok1 := single.Get(key(num))
-			d2, ok2 := sharded.Get(key(num))
-			if ok1 != ok2 || (ok1 && d1.Cells() != d2.Cells()) {
-				t.Fatalf("op %d: Get(%d) differs", op, num)
-			}
-		case 4:
-			if single.Evict(key(num)) != sharded.Evict(key(num)) {
-				t.Fatalf("op %d: Evict verdicts differ", op)
-			}
-		case 5:
-			ks := []Key{key(num), key(rng.Intn(200))}
-			single.Reinforce(ks, float64(rng.Intn(100)))
-			sharded.Reinforce(ks, float64(rng.Intn(100)))
+	for _, shards := range []int{1, 4} {
+		s, err := New(1<<20, NewTwoLevel(), WithShards(shards))
+		if err != nil {
+			t.Fatalf("New: %v", err)
 		}
-	}
-	if single.Len() != sharded.Len() || single.Used() != sharded.Used() {
-		t.Fatalf("state diverged: len %d/%d used %d/%d",
-			single.Len(), sharded.Len(), single.Used(), sharded.Used())
-	}
-	st1, st2 := single.Stats(), sharded.Stats()
-	if st1 != st2 {
-		t.Fatalf("stats diverged: %+v vs %+v", st1, st2)
-	}
-	for _, k := range single.Keys(nil) {
-		if !sharded.Contains(k) {
-			t.Fatalf("key %v resident in single but not sharded", k)
+		m := &storeModel{chunks: map[Key]*chunk.Chunk{}}
+		rng := rand.New(rand.NewSource(42))
+		for op := 0; op < 2000; op++ {
+			num := rng.Intn(200)
+			switch rng.Intn(6) {
+			case 0, 1, 2:
+				n := 1 + rng.Intn(20)
+				opt := AsBackend
+				if rng.Intn(2) == 1 {
+					opt = AsComputed
+				}
+				if !s.Insert(key(num), mkChunk(0, num, n), opt(float64(rng.Intn(1000)))) {
+					t.Fatalf("shards=%d op %d: insert denied with headroom", shards, op)
+				}
+				m.insert(key(num), mkChunk(0, num, n))
+			case 3:
+				d1, ok1 := m.get(key(num))
+				d2, ok2 := s.Get(key(num))
+				if ok1 != ok2 || (ok1 && d1.Cells() != d2.Cells()) {
+					t.Fatalf("shards=%d op %d: Get(%d) differs", shards, op, num)
+				}
+			case 4:
+				if m.evict(key(num)) != s.Evict(key(num)) {
+					t.Fatalf("shards=%d op %d: Evict verdicts differ", shards, op)
+				}
+			case 5:
+				s.Reinforce([]Key{key(num), key(rng.Intn(200))}, float64(rng.Intn(100)))
+			}
+		}
+		if s.Len() != len(m.chunks) || s.Used() != m.used {
+			t.Fatalf("shards=%d: state diverged: len %d/%d used %d/%d",
+				shards, s.Len(), len(m.chunks), s.Used(), m.used)
+		}
+		if st := s.Stats(); st != m.stats {
+			t.Fatalf("shards=%d: stats diverged: %+v vs model %+v", shards, st, m.stats)
+		}
+		for k, want := range m.chunks {
+			if d, ok := s.Peek(k); !ok || d.Cells() != want.Cells() {
+				t.Fatalf("shards=%d: key %v resident in the model but not the store", shards, k)
+			}
 		}
 	}
 }
@@ -389,7 +425,7 @@ func TestShardedEquivalence(t *testing.T) {
 // with every Store operation and checks the byte-accounting invariants at the
 // end. Run under -race this is the tentpole's core validation.
 func TestShardedConcurrentSoak(t *testing.T) {
-	for _, shards := range []int{2, 8} {
+	for _, shards := range []int{1, 2, 8} {
 		s, err := New(8_000, NewTwoLevel(), WithShards(shards))
 		if err != nil {
 			t.Fatalf("New: %v", err)
@@ -457,12 +493,12 @@ func TestShardedConcurrentSoak(t *testing.T) {
 	}
 }
 
-// TestStoreStatsConcurrent reads Stats/Len while writers mutate the store, on
-// both implementations. Regression for the unsynchronized Stats()/Len() reads
-// the single-lock cache used to allow.
+// TestStoreStatsConcurrent reads Stats/Len while writers mutate the store, at
+// one shard (the default) and at four. Regression for unsynchronized
+// Stats()/Len() reads.
 func TestStoreStatsConcurrent(t *testing.T) {
 	stores := map[string]Store{}
-	s1, _ := New(8_000, NewTwoLevel())
+	s1, _ := New(8_000, NewTwoLevel(), WithShards(1))
 	s2, _ := New(8_000, NewTwoLevel(), WithShards(4))
 	stores["single"], stores["sharded"] = s1, s2
 	for name, s := range stores {

@@ -11,8 +11,8 @@ import (
 
 // Store is the chunk-cache contract the rest of the system programs against.
 // It captures the full surface the engine, the lookup strategies, snapshots
-// and the daemons need, so any implementation — the single-lock reference
-// [Cache] or the lock-striped [Sharded] — can sit behind the middle tier.
+// and the daemons need. [Sharded] is the one implementation that holds
+// chunks; [Tiered] and [Peered] compose over it.
 //
 // Locking contract: implementations synchronize internally; callers never
 // wrap Store calls in an external lock. Listener and Policy callbacks fire
@@ -26,13 +26,16 @@ type Store interface {
 	// Get returns the chunk payload for k, updating replacement state and
 	// hit/miss counters.
 	Get(k Key) (*chunk.Chunk, bool)
+	// GetInfo is Get plus the entry's class and benefit; the peer tier
+	// answers PeerGet from it.
+	GetInfo(k Key) (*chunk.Chunk, Class, float64, bool)
 	// Peek returns the chunk payload without touching replacement state or
 	// hit/miss counters.
 	Peek(k Key) (*chunk.Chunk, bool)
 	// Insert makes data resident under k, evicting per the policy as needed,
 	// and reports whether the chunk was admitted. The options select the
 	// residency variant (backend-class with zero benefit by default); see
-	// InsertOption. See Cache.Insert for the replacement semantics every
+	// InsertOption. See Sharded.Insert for the replacement semantics every
 	// implementation follows.
 	Insert(k Key, data *chunk.Chunk, opts ...InsertOption) bool
 	// Evict removes k if resident (administrative removal, not a policy
@@ -62,6 +65,8 @@ type Store interface {
 	Used() int64
 	// Len returns the number of resident chunks.
 	Len() int
+	// Shards reports the stripe count of the underlying Sharded store.
+	Shards() int
 	// SetListener registers the strategy callback; pass nil to clear. Call
 	// it before the store serves traffic.
 	SetListener(l Listener)
@@ -130,25 +135,13 @@ func AsPromoted() InsertOption {
 	return func(s *insertSpec) { s.promoted = true }
 }
 
-// Forker is implemented by replacement policies that can produce fresh,
-// state-free instances of themselves. A sharded store needs one policy
-// instance per shard (policies are stateful and synchronized by their shard's
-// lock), so New requires the seed policy to implement Forker — or an explicit
-// WithPolicyFactory — whenever more than one shard is requested. TwoLevel,
-// BenefitClock and LRU all implement it.
-type Forker interface {
-	// Fork returns a new empty policy of the same kind and configuration.
-	Fork() Policy
-}
-
 // MaxShards bounds the shard count; 64 keeps Reinforce's shard grouping a
 // single uint64 bitmask and is far beyond the core counts this tier runs on.
 const MaxShards = 64
 
-// config collects the options shared by New's implementations.
+// config collects New's options.
 type config struct {
-	shards   int // 0 = single-lock store; -1 = auto (GOMAXPROCS rounded up)
-	factory  func() Policy
+	shards   int // 0 = one shard (the default); -1 = auto (GOMAXPROCS rounded up)
 	listener Listener
 	metrics  *obs.CacheMetrics
 }
@@ -156,10 +149,9 @@ type config struct {
 // Option configures New. Options are applied in order; later options win.
 type Option func(*config)
 
-// WithShards selects the lock-striped implementation with n shards, rounded
-// up to a power of two and capped at MaxShards. n = 1 selects the single-lock
-// reference store (the default). n = 0 means "auto": GOMAXPROCS rounded up to
-// a power of two.
+// WithShards sets the stripe count to n, rounded up to a power of two and
+// capped at MaxShards. n = 1 (the default) is one shard behind one lock.
+// n = 0 means "auto": GOMAXPROCS rounded up to a power of two.
 func WithShards(n int) Option {
 	return func(c *config) {
 		if n == 0 {
@@ -168,13 +160,6 @@ func WithShards(n int) Option {
 		}
 		c.shards = n
 	}
-}
-
-// WithPolicyFactory supplies fresh policy instances for the extra shards of a
-// sharded store, for policies that do not implement Forker. The seed policy
-// passed to New serves shard 0; the factory builds the rest.
-func WithPolicyFactory(f func() Policy) Option {
-	return func(c *config) { c.factory = f }
 }
 
 // WithListener registers the insert/evict listener at construction time,
@@ -190,10 +175,9 @@ func WithMetrics(m obs.CacheMetrics) Option {
 }
 
 // New creates a chunk store bounded to capacity bytes using the given
-// replacement policy. By default it returns the single-lock reference
-// implementation; WithShards selects the lock-striped one. The policy must
-// implement Forker (or a WithPolicyFactory must be given) when more than one
-// shard is requested.
+// replacement policy: a lock-striped Sharded store with one shard unless
+// WithShards asks for more. The policy serves shard 0; every further shard
+// runs its own Fork of it.
 func New(capacity int64, policy Policy, opts ...Option) (Store, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("cache: capacity must be positive, got %d", capacity)
@@ -209,29 +193,8 @@ func New(capacity int64, policy Policy, opts ...Option) (Store, error) {
 	if n < 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	if n <= 1 {
-		c := &Cache{capacity: capacity, entries: make(map[Key]*Entry), policy: policy}
-		if cfg.listener != nil {
-			c.SetListener(cfg.listener)
-		}
-		if cfg.metrics != nil {
-			c.SetMetrics(*cfg.metrics)
-		}
-		return c, nil
-	}
-	n = nextPow2(n)
-	if n > MaxShards {
-		n = MaxShards
-	}
-	factory := cfg.factory
-	if factory == nil {
-		f, ok := policy.(Forker)
-		if !ok {
-			return nil, fmt.Errorf("cache: policy %s cannot be forked across %d shards (implement Forker or pass WithPolicyFactory)", policy.Name(), n)
-		}
-		factory = f.Fork
-	}
-	s, err := newSharded(capacity, n, policy, factory)
+	n = min(nextPow2(n), MaxShards)
+	s, err := newSharded(capacity, n, policy)
 	if err != nil {
 		return nil, err
 	}

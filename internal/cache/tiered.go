@@ -33,8 +33,8 @@ type TierStatser interface {
 	TierStats() TierStats
 }
 
-// tierHook is the package-internal seam between a hot store (Cache, Sharded)
-// and the Tiered wrapper. Every per-key tier transition must be decided
+// tierHook is the package-internal seam between the hot Sharded store and
+// the Tiered wrapper. Every per-key tier transition must be decided
 // under the lock that serializes that key's hot-store mutations (the shard
 // lock), or two racing goroutines can leave a chunk resident in both tiers —
 // and a later cold eviction would then fire a spurious Evicted while the
@@ -56,11 +56,6 @@ type tierHook interface {
 	demote(e *Entry) bool
 }
 
-// hookable is implemented by hot stores that can host a Tiered wrapper.
-type hookable interface {
-	setTierHook(h tierHook)
-}
-
 // Tiered composes a hot Store with a compressed in-RAM cold tier. Hot-tier
 // victims are delta/varint-encoded and demoted to the cold tier instead of
 // dropped; a miss that finds its chunk cold decompresses it back into the
@@ -74,7 +69,7 @@ type hookable interface {
 // are decided under the hot store's per-key lock (see tierHook), so the
 // invariant holds under arbitrary concurrency.
 type Tiered struct {
-	hot  Store
+	hot  *Sharded
 	cold *coldTier
 	// outer is the listener registered via SetListener; hot-store events are
 	// forwarded to it, with cold-pressure evictions synthesized here. Set
@@ -85,20 +80,20 @@ type Tiered struct {
 }
 
 // NewTiered wraps hot with a compressed cold tier of coldBytes capacity.
-// The hot store must be one of this package's hot implementations (Cache or
-// Sharded — not Peered or another Tiered, which own their composition).
-// Register listeners on the returned store, not on hot.
+// The hot store must be a Sharded store built by New — not Peered or another
+// Tiered, which own their composition. Register listeners on the returned
+// store, not on hot.
 func NewTiered(hot Store, coldBytes int64) (*Tiered, error) {
 	if coldBytes <= 0 {
 		return nil, fmt.Errorf("cache: cold tier capacity must be positive, got %d", coldBytes)
 	}
-	h, ok := hot.(hookable)
+	h, ok := hot.(*Sharded)
 	if !ok {
 		return nil, fmt.Errorf("cache: %T cannot host a cold tier", hot)
 	}
-	t := &Tiered{hot: hot, cold: newColdTier(coldBytes)}
+	t := &Tiered{hot: h, cold: newColdTier(coldBytes)}
 	h.setTierHook(t)
-	hot.SetListener(forwardListener{t})
+	h.SetListener(forwardListener{t})
 	return t, nil
 }
 
@@ -226,16 +221,11 @@ func (t *Tiered) Get(k Key) (*chunk.Chunk, bool) {
 	return nil, false
 }
 
-// GetInfo is Get plus replacement attributes, for the peer tier.
+// GetInfo implements Store: Get plus replacement attributes, for the peer
+// tier.
 func (t *Tiered) GetInfo(k Key) (*chunk.Chunk, Class, float64, bool) {
-	if gi, ok := t.hot.(interface {
-		GetInfo(Key) (*chunk.Chunk, Class, float64, bool)
-	}); ok {
-		if data, cl, benefit, found := gi.GetInfo(k); found {
-			return data, cl, benefit, true
-		}
-	} else if data, ok := t.hot.Get(k); ok {
-		return data, ClassBackend, 0, true
+	if data, cl, benefit, found := t.hot.GetInfo(k); found {
+		return data, cl, benefit, true
 	}
 	if data, cl, benefit, ok := t.promote(k); ok {
 		t.cold.hit()
@@ -396,10 +386,5 @@ func (t *Tiered) Policy() Policy { return t.hot.Policy() }
 // Hot returns the wrapped hot store (tests and diagnostics).
 func (t *Tiered) Hot() Store { return t.hot }
 
-// Shards reports the hot tier's stripe count when it is sharded.
-func (t *Tiered) Shards() int {
-	if s, ok := t.hot.(interface{ Shards() int }); ok {
-		return s.Shards()
-	}
-	return 1
-}
+// Shards implements Store, reporting the hot tier's stripe count.
+func (t *Tiered) Shards() int { return t.hot.Shards() }

@@ -483,6 +483,36 @@ func (g *Grid) CellCapacity(gb lattice.ID, num int) int64 {
 	return cap
 }
 
+// CheckChunk reports whether (gb, num) names a chunk of this grid and, when
+// c is non-nil, whether c is a payload that fits it: addressed to the same
+// chunk, with strictly increasing cell keys below CellCapacity(gb, num).
+// Chunks arriving from outside the process (snapshot records, peer puts)
+// must pass it before they are cached: a key past the capacity would decode
+// to members of other chunks and be summed into wrong answers.
+func (g *Grid) CheckChunk(gb lattice.ID, num int32, c *Chunk) error {
+	if gb < 0 || int(gb) >= g.lat.NumNodes() {
+		return fmt.Errorf("chunk: group-by %d is outside the lattice", gb)
+	}
+	if num < 0 || int(num) >= g.numChunks[gb] {
+		return fmt.Errorf("chunk: group-by %d has no chunk %d", gb, num)
+	}
+	if c == nil {
+		return nil
+	}
+	if c.GB != gb || c.Num != num {
+		return fmt.Errorf("chunk: payload of chunk (%d,%d) addressed to (%d,%d)", c.GB, c.Num, gb, num)
+	}
+	// The snapshot codec guarantees increasing keys; the wire slab codec
+	// carries raw keys, so order is checked here too.
+	capacity := uint64(g.CellCapacity(gb, int(num)))
+	for i, k := range c.Keys {
+		if k >= capacity || (i > 0 && k <= c.Keys[i-1]) {
+			return fmt.Errorf("chunk: chunk (%d,%d) has cell key %d out of order or past its capacity %d", gb, num, k, capacity)
+		}
+	}
+	return nil
+}
+
 // ChunkOfCell returns the chunk number and intra-chunk cell key of the cell
 // with the given absolute member ids at group-by gb.
 func (g *Grid) ChunkOfCell(gb lattice.ID, members []int32) (num int, key uint64) {

@@ -85,14 +85,14 @@ func (e *Engine) loadSnapshot(data []byte) (int, error) {
 }
 
 // validateSnapshotEntry rejects records that do not fit this engine's grid —
-// a snapshot from a different schema or scale must not be admitted.
+// a snapshot from a different schema or scale, or one whose cell keys
+// overrun their chunk, must not be admitted.
 func (e *Engine) validateSnapshotEntry(se cache.SnapshotEntry) error {
-	lat := e.grid.Lattice()
-	if int(se.Key.GB) < 0 || int(se.Key.GB) >= lat.NumNodes() {
-		return fmt.Errorf("core: snapshot entry %v outside the lattice", se.Key)
+	if se.Data == nil {
+		return fmt.Errorf("core: snapshot entry %v has no payload", se.Key)
 	}
-	if se.Data == nil || int(se.Key.Num) < 0 || int(se.Key.Num) >= e.grid.NumChunks(se.Key.GB) {
-		return fmt.Errorf("core: snapshot entry %v is corrupt", se.Key)
+	if err := e.grid.CheckChunk(se.Key.GB, se.Key.Num, se.Data); err != nil {
+		return fmt.Errorf("core: snapshot entry %v: %w", se.Key, err)
 	}
 	return nil
 }

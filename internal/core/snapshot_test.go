@@ -3,10 +3,13 @@ package core
 import (
 	"bytes"
 	"context"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"aggcache/internal/cache"
+	"aggcache/internal/chunk"
 )
 
 func TestSaveLoadCacheWarmRestart(t *testing.T) {
@@ -95,5 +98,63 @@ func TestLoadCacheRejectsGarbage(t *testing.T) {
 	data[idx] = 'x'
 	if _, err := f.engine.LoadCache(bytes.NewReader(data)); err == nil {
 		t.Fatalf("bad magic: expected error")
+	}
+}
+
+// TestLoadCacheRejectsKeyPastCapacity feeds both load paths a snapshot whose
+// base chunk carries one extra cell past the chunk's capacity. The record
+// must be refused: admitted, its value would decode into another chunk's
+// cell and be summed into every roll-up of the base.
+func TestLoadCacheRejectsKeyPastCapacity(t *testing.T) {
+	ctx := context.Background()
+	f := build(t, "VCMC", cache.NewTwoLevel(), 1<<20)
+	base := f.grid.Lattice().Base()
+	if _, err := f.engine.Execute(ctx, WholeGroupBy(base)); err != nil {
+		t.Fatalf("warm: %v", err)
+	}
+	k := cache.Key{GB: base, Num: 0}
+	good, ok := f.engine.Cache().Peek(k)
+	if !ok {
+		t.Fatalf("base chunk 0 not cached")
+	}
+	bad := &chunk.Chunk{
+		GB:   good.GB,
+		Num:  good.Num,
+		Keys: append(slices.Clone(good.Keys), uint64(f.grid.CellCapacity(base, 0))),
+		Vals: append(slices.Clone(good.Vals), 1e6),
+	}
+	if good.Counts != nil {
+		bad.Counts = append(slices.Clone(good.Counts), 1)
+	}
+	src, err := cache.New(1<<20, cache.NewTwoLevel())
+	if err != nil {
+		t.Fatalf("cache.New: %v", err)
+	}
+	src.Insert(k, bad, cache.AsBackend(1))
+	path := filepath.Join(t.TempDir(), "poisoned.snap")
+	if _, err := cache.SaveSnapshotFile(path, src); err != nil {
+		t.Fatalf("SaveSnapshotFile: %v", err)
+	}
+	var buf bytes.Buffer
+	if _, err := cache.WriteSnapshot(&buf, src); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	loads := map[string]func(*Engine) (int, error){
+		"reader": func(e *Engine) (int, error) { return e.LoadCache(bytes.NewReader(buf.Bytes())) },
+		"file":   func(e *Engine) (int, error) { return e.LoadCacheFile(path) },
+	}
+	for name, load := range loads {
+		f2 := build(t, "VCMC", cache.NewTwoLevel(), 1<<20)
+		if n, err := load(f2.engine); err == nil {
+			t.Fatalf("%s: admitted %d chunks with a cell key past capacity", name, n)
+		}
+		if f2.engine.Cache().Contains(k) {
+			t.Fatalf("%s: poisoned chunk resident after a refused load", name)
+		}
+		res, err := f2.engine.Execute(ctx, WholeGroupBy(base))
+		if err != nil {
+			t.Fatalf("%s: Execute: %v", name, err)
+		}
+		assertMatchesOracle(t, f2, WholeGroupBy(base), res)
 	}
 }

@@ -21,8 +21,8 @@ import (
 )
 
 // buildSoakEngines wires two engines — concurrent subject (whose cache is
-// built with copts) and serialized single-lock reference — over one grid and
-// one shared backend.
+// built with copts) and serialized reference (default store) — over one grid
+// and one shared backend.
 func buildSoakEngines(t *testing.T, capacity int64, copts ...cache.Option) (subject, reference *core.Engine, g *chunk.Grid) {
 	t.Helper()
 	cfg := apb.New(apb.ScaleTiny)
@@ -50,14 +50,14 @@ func buildSoakEngines(t *testing.T, capacity int64, copts ...cache.Option) (subj
 }
 
 // TestConcurrentSoakMatchesSerializedEngine replays one mixed workload
-// stream twice: serially through a single-lock reference engine, then
-// interleaved across 8 goroutines through the subject engine — once backed
-// by the single-lock store and once by a 4-shard store. Every concurrent
-// answer must match the serialized one (which itself is oracle-checked by
-// the other engine tests). Run under -race this is the tentpole's
-// correctness soak.
+// stream twice: serially through a reference engine, then interleaved
+// across 8 goroutines through the subject engine — once backed by a
+// one-shard store (the production default) and once by a 4-shard store.
+// Every concurrent answer must match the serialized one (which itself is
+// oracle-checked by the other engine tests). Run under -race this is the
+// store's engine-level correctness soak.
 func TestConcurrentSoakMatchesSerializedEngine(t *testing.T) {
-	t.Run("single", func(t *testing.T) { runConcurrentSoak(t) })
+	t.Run("single", func(t *testing.T) { runConcurrentSoak(t, cache.WithShards(1)) })
 	t.Run("sharded-4", func(t *testing.T) { runConcurrentSoak(t, cache.WithShards(4)) })
 }
 

@@ -141,12 +141,6 @@ func peerErrFrame(msg string, transient bool) wire.Frame {
 	return fr
 }
 
-// peerInfoStore is the read surface a peer answer wants: payload plus the
-// replacement attributes the owner stored the chunk under.
-type peerInfoStore interface {
-	GetInfo(cache.Key) (*chunk.Chunk, cache.Class, float64, bool)
-}
-
 // peerStore returns the store peer requests should be served from: the local
 // hot tier when the engine's store is a Peered (never the peer tier itself —
 // answering a peer from another peer would let a chunk resident nowhere
@@ -159,37 +153,17 @@ func (s *Server) peerStore() cache.Store {
 	return st
 }
 
-// validKey reports whether a peer-supplied key names a real chunk of this
-// grid — a malformed or hostile key must not poison the cache.
-func (s *Server) validKey(k cache.Key) bool {
-	if k.GB < 0 || int(k.GB) >= s.grid.Lattice().NumNodes() {
-		return false
-	}
-	return k.Num >= 0 && int(k.Num) < s.grid.NumChunks(k.GB)
-}
-
 // handlePeerGet answers a peer's chunk lookup from the local tier.
 func (s *Server) handlePeerGet(fr *wire.Frame) wire.Frame {
 	k, err := decodePeerGet(fr.Payload)
 	if err != nil {
 		return peerErrFrame(err.Error(), false)
 	}
-	if !s.validKey(k) {
-		return peerErrFrame(fmt.Sprintf("mtier: peer get: no such chunk (%d,%d)", k.GB, k.Num), false)
+	// A malformed or hostile key or payload must not poison the cache.
+	if err := s.grid.CheckChunk(k.GB, k.Num, nil); err != nil {
+		return peerErrFrame("mtier: peer get: "+err.Error(), false)
 	}
-	st := s.peerStore()
-	var (
-		data    *chunk.Chunk
-		cl      cache.Class
-		benefit float64
-		found   bool
-	)
-	if is, ok := st.(peerInfoStore); ok {
-		data, cl, benefit, found = is.GetInfo(k)
-	} else {
-		data, found = st.Get(k)
-		cl = cache.ClassBackend
-	}
+	data, cl, benefit, found := s.peerStore().GetInfo(k)
 	return wire.Frame{Type: framePeerChunk, Payload: encodePeerChunk(nil, data, cl, benefit, found)}
 }
 
@@ -206,8 +180,8 @@ func (s *Server) handlePeerPut(fr *wire.Frame) wire.Frame {
 	if err != nil {
 		return peerErrFrame(err.Error(), false)
 	}
-	if !s.validKey(k) {
-		return peerErrFrame(fmt.Sprintf("mtier: peer put: no such chunk (%d,%d)", k.GB, k.Num), false)
+	if err := s.grid.CheckChunk(k.GB, k.Num, data); err != nil {
+		return peerErrFrame("mtier: peer put: "+err.Error(), false)
 	}
 	stored := s.peerStore().Insert(k, data, cache.AsComputed(benefit))
 	return wire.Frame{Type: framePeerAck, Payload: encodePeerAck(nil, stored)}

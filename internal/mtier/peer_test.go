@@ -26,6 +26,21 @@ func peerChunk(num, n int) *chunk.Chunk {
 	return c
 }
 
+// tinyBaseChunk returns chunk 0 of the base group-by of the ScaleTiny grid
+// startPeeredServer serves, with an n-cell peerChunk payload addressed to it
+// (its 64-cell capacity fits small n).
+func tinyBaseChunk(t *testing.T, n int) (cache.Key, *chunk.Chunk) {
+	t.Helper()
+	cfg := apb.New(apb.ScaleTiny)
+	g, err := chunk.NewGrid(cfg.Schema, cfg.ChunkCounts)
+	if err != nil {
+		t.Fatalf("NewGrid: %v", err)
+	}
+	c := peerChunk(0, n)
+	c.GB = g.Lattice().Base()
+	return cache.Key{GB: c.GB, Num: 0}, c
+}
+
 func TestPeerCodecRoundTrips(t *testing.T) {
 	k := cache.Key{GB: 3, Num: 17}
 
@@ -140,7 +155,7 @@ func TestPeerClientGetPut(t *testing.T) {
 	cl := NewPeerClient(addr, 0)
 	defer cl.Close()
 	ctx := context.Background()
-	k := cache.Key{GB: 0, Num: 0}
+	k, payload := tinyBaseChunk(t, 4)
 
 	// Miss is authoritative: found=false, no error.
 	if _, _, _, found, err := cl.Get(ctx, k); err != nil || found {
@@ -148,7 +163,7 @@ func TestPeerClientGetPut(t *testing.T) {
 	}
 
 	// Put installs at the owner; a replica takes computed-class residency.
-	if err := cl.Put(ctx, k, peerChunk(0, 4), cache.ClassBackend, 33); err != nil {
+	if err := cl.Put(ctx, k, payload, cache.ClassBackend, 33); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	data, cl2, benefit, found := pc.GetInfo(k)
@@ -177,6 +192,40 @@ func TestPeerServerRejectsInvalidKey(t *testing.T) {
 		if err := cl.Put(ctx, k, peerChunk(0, 1), cache.ClassBackend, 1); err == nil {
 			t.Errorf("Put(%v) accepted", k)
 		}
+	}
+}
+
+// TestPeerServerRejectsBadPayload puts payloads that name a real chunk but
+// do not fit it. Each must be refused and leave nothing resident: a cell key
+// past the chunk's capacity (or out of order) would be summed into wrong
+// answers.
+func TestPeerServerRejectsBadPayload(t *testing.T) {
+	addr, pc := startPeeredServer(t)
+	cl := NewPeerClient(addr, 0)
+	defer cl.Close()
+	ctx := context.Background()
+	k, good := tinyBaseChunk(t, 3)
+
+	_, pastCapacity := tinyBaseChunk(t, 3)
+	pastCapacity.Keys[2] = 64
+	_, outOfOrder := tinyBaseChunk(t, 3)
+	outOfOrder.Keys[0], outOfOrder.Keys[1] = outOfOrder.Keys[1], outOfOrder.Keys[0]
+	_, otherChunk := tinyBaseChunk(t, 3)
+	otherChunk.Num = 1
+	for name, data := range map[string]*chunk.Chunk{
+		"key past capacity": pastCapacity,
+		"keys out of order": outOfOrder,
+		"other chunk":       otherChunk,
+	} {
+		if err := cl.Put(ctx, k, data, cache.ClassBackend, 1); err == nil {
+			t.Errorf("%s: Put accepted", name)
+		}
+		if pc.Contains(k) {
+			t.Fatalf("%s: refused payload is resident", name)
+		}
+	}
+	if err := cl.Put(ctx, k, good, cache.ClassBackend, 1); err != nil || !pc.Contains(k) {
+		t.Fatalf("well-formed Put: err %v, resident %v", err, pc.Contains(k))
 	}
 }
 

@@ -82,8 +82,8 @@ func NewEngineMetrics(r *Registry) EngineMetrics {
 	}
 }
 
-// CacheMetrics instruments cache.Cache: occupancy, traffic, and the
-// replacement behavior split by cause.
+// CacheMetrics instruments the chunk store (cache.Sharded): occupancy,
+// traffic, and the replacement behavior split by cause.
 type CacheMetrics struct {
 	CapacityBytes  *Gauge
 	OccupancyBytes *Gauge
