@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race perfbench-test bench bench-kernel bench-shards bench-wire bench-cluster bench-overload bench-recycle bench-tiered soak-shards soak-cluster soak-overload soak-tiered fuzz-wire fuzz-peer fuzz-codec fmt lint cover chaos ci FORCE
+.PHONY: build test vet race perfbench-test bench bench-kernel bench-shards bench-cluster bench-overload bench-recycle bench-tiered soak-shards soak-cluster soak-overload soak-tiered fuzz-wire fuzz-peer fuzz-codec fmt lint cover chaos ci FORCE
 
 build:
 	$(GO) build ./...
@@ -35,11 +35,6 @@ bench-kernel:
 # 1/4/8 concurrent clients (writes BENCH_5.json).
 bench-shards:
 	$(GO) run ./cmd/aggbench -scale small -exp shards
-
-# bench-wire compares the retired gob transport against the binary framing
-# layer under pipelined concurrent load (writes BENCH_6.json).
-bench-wire:
-	$(GO) run ./cmd/aggbench -scale tiny -exp wire
 
 # bench-cluster sweeps the distributed cache tier from 1 to 4 cooperating
 # nodes on the proximity-heavy mix (writes BENCH_7.json).
@@ -135,7 +130,7 @@ cover:
 # chaos runs the fault-injection suite under the race detector and the
 # availability experiment end to end.
 chaos:
-	$(GO) test -race -run 'Chaos|Degraded|Flight|Breaker|Faulty|Remote|Malformed' ./internal/core ./internal/backend ./internal/mtier
+	$(GO) test -race -run 'Chaos|Degraded|Flight|Breaker|Faulty|Remote|Malformed' ./internal/core ./internal/backend ./internal/mtier ./internal/cache
 	$(GO) run ./cmd/aggbench -scale tiny -exp chaos
 
 ci: lint race cover

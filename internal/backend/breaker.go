@@ -39,7 +39,7 @@ func (s BreakerState) String() string {
 	return fmt.Sprintf("BreakerState(%d)", int32(s))
 }
 
-// BreakerConfig tunes the circuit breaker.
+// BreakerConfig tunes a circuit breaker.
 type BreakerConfig struct {
 	// FailureThreshold is the run of consecutive outage-class failures
 	// (see countsAsOutage) that opens the breaker. Default 5.
@@ -47,9 +47,6 @@ type BreakerConfig struct {
 	// Cooldown is how long the breaker stays open before admitting a
 	// half-open probe. Default 2s.
 	Cooldown time.Duration
-	// SuccessThreshold is the run of successful probes that closes a
-	// half-open breaker. Default 1.
-	SuccessThreshold int
 
 	// now is a test hook; nil means time.Now.
 	now func() time.Time
@@ -62,104 +59,108 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Cooldown <= 0 {
 		c.Cooldown = 2 * time.Second
 	}
-	if c.SuccessThreshold <= 0 {
-		c.SuccessThreshold = 1
-	}
 	if c.now == nil {
 		c.now = time.Now
 	}
 	return c
 }
 
-// Breaker wraps a Backend with a circuit breaker: a run of outage-class
-// failures opens it, and while open every request fails fast with
-// ErrUnavailable instead of waiting out dial timeouts and retry budgets.
-// After the cooldown a single probe is let through; its success closes the
-// breaker, its failure re-opens it. Permanent per-request errors (the
-// engine answered, the request was bad) and caller cancellation never move
-// the breaker — only availability failures do.
-type Breaker struct {
-	inner Backend
-	cfg   BreakerConfig
-	met   obs.BreakerMetrics
+// Circuit is the one closed/half-open/open state machine of the system: the
+// Breaker below wraps a Backend with it, and the cluster cache tier keeps one
+// per peer. A run of outage-class failures opens it, and while open Admit
+// fails fast with ErrUnavailable instead of waiting out dial timeouts and
+// retry budgets. After the cooldown a single probe is let through; its
+// success closes the circuit, its failure re-opens it. Permanent per-request
+// errors and Busy sheds (the far side answered) reset the failure run;
+// caller cancellation is neutral — only availability failures open it.
+type Circuit struct {
+	cfg BreakerConfig
+	met obs.BreakerMetrics
 
-	mu        sync.Mutex
-	state     BreakerState
-	failures  int
-	successes int
-	openedAt  time.Time
-	probing   bool
+	mu       sync.Mutex
+	state    BreakerState
+	failures int
+	openedAt time.Time
+	probing  bool
 }
 
-// NewBreaker wraps inner with a circuit breaker.
-func NewBreaker(inner Backend, cfg BreakerConfig) *Breaker {
-	return &Breaker{inner: inner, cfg: cfg.withDefaults()}
+// NewCircuit returns a closed circuit recording into met.
+func NewCircuit(cfg BreakerConfig, met obs.BreakerMetrics) *Circuit {
+	c := &Circuit{cfg: cfg.withDefaults()}
+	c.SetMetrics(met)
+	return c
 }
 
 // SetMetrics attaches live observability metrics. Call it before the first
 // request; it is not synchronized with requests in flight.
-func (b *Breaker) SetMetrics(m obs.BreakerMetrics) {
-	b.met = m
-	b.met.State.Set(int64(b.State()))
+func (c *Circuit) SetMetrics(m obs.BreakerMetrics) {
+	c.met = m
+	c.met.State.Set(int64(c.State()))
 }
 
-// State returns the breaker's current state.
-func (b *Breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.stateLocked()
+// State returns the circuit's current state.
+func (c *Circuit) State() BreakerState {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stateLocked()
 }
 
 // stateLocked folds the cooldown expiry into the reported state so readers
 // (health checks, the engine's degraded-mode accounting) see half-open as
 // soon as a probe would be admitted.
-func (b *Breaker) stateLocked() BreakerState {
-	if b.state == BreakerOpen && b.cfg.now().Sub(b.openedAt) >= b.cfg.Cooldown {
+func (c *Circuit) stateLocked() BreakerState {
+	if c.state == BreakerOpen && c.cfg.now().Sub(c.openedAt) >= c.cfg.Cooldown {
 		return BreakerHalfOpen
 	}
-	return b.state
+	return c.state
 }
 
-// admit decides one request's fate: proceed (probe reports whether it is a
-// half-open probe) or fail fast with ErrUnavailable.
-func (b *Breaker) admit() (probe bool, err error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.stateLocked() {
+// Admit decides one request's fate: proceed (probe reports whether it is
+// the half-open probe) or fail fast with ErrUnavailable. Every admitted
+// request must report its outcome with Done.
+func (c *Circuit) Admit() (probe bool, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch c.stateLocked() {
 	case BreakerClosed:
 		return false, nil
 	case BreakerHalfOpen:
-		if b.state == BreakerOpen {
+		if c.state == BreakerOpen {
 			// Cooldown just elapsed: materialize the half-open transition.
-			b.state = BreakerHalfOpen
-			b.met.State.Set(int64(BreakerHalfOpen))
+			c.state = BreakerHalfOpen
+			c.met.State.Set(int64(BreakerHalfOpen))
 		}
-		if b.probing {
-			return false, fmt.Errorf("backend: circuit half-open, probe in flight: %w", ErrUnavailable)
+		if !c.probing {
+			c.probing = true
+			c.met.Probes.Inc()
+			return true, nil
 		}
-		b.probing = true
-		b.met.Probes.Inc()
-		return true, nil
+		err = fmt.Errorf("backend: circuit half-open, probe in flight: %w", ErrUnavailable)
 	default: // BreakerOpen
-		return false, fmt.Errorf("backend: circuit open: %w", ErrUnavailable)
+		err = fmt.Errorf("backend: circuit open: %w", ErrUnavailable)
 	}
+	c.met.FastFails.Inc()
+	return false, err
 }
 
-// record folds one request's outcome back into the breaker.
-func (b *Breaker) record(err error, probe bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+// Done folds one admitted request's outcome back into the circuit.
+func (c *Circuit) Done(probe bool, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if probe {
-		b.probing = false
+		c.probing = false
 	}
 	if countsAsOutage(err) {
-		b.failures++
-		b.successes = 0
-		if b.state == BreakerHalfOpen || (b.state == BreakerClosed && b.failures >= b.cfg.FailureThreshold) {
-			b.openLocked()
-		} else if b.state == BreakerOpen {
+		c.failures++
+		if c.state == BreakerHalfOpen || (c.state == BreakerClosed && c.failures >= c.cfg.FailureThreshold) {
+			c.state = BreakerOpen
+			c.openedAt = c.cfg.now()
+			c.probing = false
+			c.met.Opens.Inc()
+			c.met.State.Set(int64(BreakerOpen))
+		} else if c.state == BreakerOpen {
 			// A failure while open (a probe raced the cooldown) restarts it.
-			b.openedAt = b.cfg.now()
+			c.openedAt = c.cfg.now()
 		}
 		return
 	}
@@ -168,61 +169,56 @@ func (b *Breaker) record(err error, probe bool) {
 		return
 	}
 	// Success — or a permanent per-request error, which still proves the
-	// backend is reachable and answering.
-	b.failures = 0
-	if b.state == BreakerHalfOpen {
-		b.successes++
-		if b.successes >= b.cfg.SuccessThreshold {
-			b.state = BreakerClosed
-			b.successes = 0
-			b.met.State.Set(int64(BreakerClosed))
-		}
+	// far side is reachable and answering. One good probe closes the circuit.
+	c.failures = 0
+	if c.state == BreakerHalfOpen {
+		c.state = BreakerClosed
+		c.met.State.Set(int64(BreakerClosed))
 	}
 }
 
-// openLocked trips the breaker. The caller must hold b.mu.
-func (b *Breaker) openLocked() {
-	b.state = BreakerOpen
-	b.openedAt = b.cfg.now()
-	b.probing = false
-	b.successes = 0
-	b.met.Opens.Inc()
-	b.met.State.Set(int64(BreakerOpen))
+// Breaker wraps a Backend with a Circuit, so an unreachable backend costs a
+// fast ErrUnavailable rather than a full retry budget per request.
+type Breaker struct {
+	*Circuit
+	inner Backend
+}
+
+// NewBreaker wraps inner with a circuit breaker.
+func NewBreaker(inner Backend, cfg BreakerConfig) *Breaker {
+	return &Breaker{Circuit: NewCircuit(cfg, obs.BreakerMetrics{}), inner: inner}
 }
 
 // ComputeChunks implements Backend through the breaker.
 func (b *Breaker) ComputeChunks(ctx context.Context, gb lattice.ID, nums []int) ([]*chunk.Chunk, Stats, error) {
-	probe, err := b.admit()
+	probe, err := b.Admit()
 	if err != nil {
-		b.met.FastFails.Inc()
 		return nil, Stats{}, err
 	}
 	chunks, stats, err := b.inner.ComputeChunks(ctx, gb, nums)
-	b.record(err, probe)
+	b.Done(probe, err)
 	return chunks, stats, err
 }
 
 // EstimateScan implements Backend through the breaker.
 func (b *Breaker) EstimateScan(ctx context.Context, gb lattice.ID, nums []int) (int64, error) {
-	probe, err := b.admit()
+	probe, err := b.Admit()
 	if err != nil {
-		b.met.FastFails.Inc()
 		return 0, err
 	}
 	est, err := b.inner.EstimateScan(ctx, gb, nums)
-	b.record(err, probe)
+	b.Done(probe, err)
 	return est, err
 }
 
 // EstimateScans implements Backend through the breaker.
 func (b *Breaker) EstimateScans(ctx context.Context, gb lattice.ID, nums []int) ([]int64, error) {
-	probe, err := b.admit()
+	probe, err := b.Admit()
 	if err != nil {
-		b.met.FastFails.Inc()
 		return nil, err
 	}
 	ests, err := b.inner.EstimateScans(ctx, gb, nums)
-	b.record(err, probe)
+	b.Done(probe, err)
 	return ests, err
 }
 

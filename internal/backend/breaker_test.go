@@ -9,6 +9,7 @@ import (
 
 	"aggcache/internal/chunk"
 	"aggcache/internal/lattice"
+	"aggcache/internal/obs"
 )
 
 // stubBackend is a scriptable Backend for breaker and fault tests.
@@ -220,5 +221,50 @@ func TestBreakerIgnoresPermanentErrorsAndCancellation(t *testing.T) {
 	b.ComputeChunks(ctx, 0, []int{0})
 	if got := b.State(); got != BreakerOpen {
 		t.Fatalf("run of 2 outages (with neutral cancel between) = %v, want open", got)
+	}
+}
+
+// TestBreakerCircuitStateMachine drives the shared state machine directly, the way
+// the cluster cache tier's per-peer breakers use it: the state gauge follows
+// closed → open → half-open → closed, and the half-open state admits exactly
+// one probe until that probe reports.
+func TestBreakerCircuitStateMachine(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	reg := obs.NewRegistry()
+	gauge := reg.Gauge("test_breaker_state", "")
+	c := NewCircuit(BreakerConfig{FailureThreshold: 3, Cooldown: time.Minute, now: clk.now}, obs.BreakerMetrics{State: gauge})
+	outage := MarkTransient(errors.New("reset"))
+
+	for i := 0; i < 3; i++ {
+		probe, err := c.Admit()
+		if err != nil || probe {
+			t.Fatalf("closed admit %d = probe %v, err %v", i, probe, err)
+		}
+		c.Done(false, outage)
+	}
+	if c.State() != BreakerOpen || gauge.Value() != int64(BreakerOpen) {
+		t.Fatalf("after threshold: state %v, gauge %d; want open", c.State(), gauge.Value())
+	}
+	if _, err := c.Admit(); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("admit inside cooldown = %v, want ErrUnavailable", err)
+	}
+
+	clk.advance(2 * time.Minute)
+	probe, err := c.Admit()
+	if err != nil || !probe {
+		t.Fatalf("first post-cooldown admit = probe %v, err %v; want the probe", probe, err)
+	}
+	if gauge.Value() != int64(BreakerHalfOpen) {
+		t.Fatalf("gauge while probing = %d, want half-open", gauge.Value())
+	}
+	if _, err := c.Admit(); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("second admit during the probe = %v, want ErrUnavailable", err)
+	}
+	c.Done(true, nil)
+	if c.State() != BreakerClosed || gauge.Value() != int64(BreakerClosed) {
+		t.Fatalf("after successful probe: state %v, gauge %d; want closed", c.State(), gauge.Value())
+	}
+	if probe, err := c.Admit(); err != nil || probe {
+		t.Fatalf("admit after close = probe %v, err %v", probe, err)
 	}
 }

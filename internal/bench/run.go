@@ -75,7 +75,6 @@ var experiments = []struct {
 	{"concurrency", one(ConcurrencySweep)},
 	{"shards", one(ShardSweep)},
 	{"kernel", one(Kernel)},
-	{"wire", one(Wire)},
 	{"observability", one(Observability)},
 	{"chaos", one(Chaos)},
 	{"cluster", one(Cluster)},

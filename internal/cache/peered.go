@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aggcache/internal/backend"
 	"aggcache/internal/chunk"
 	"aggcache/internal/obs"
 )
@@ -55,11 +56,12 @@ type PeeredConfig struct {
 	GetTimeout time.Duration
 	// PutTimeout bounds one asynchronous replication put (default 2s).
 	PutTimeout time.Duration
-	// BreakerThreshold is the consecutive per-peer failure count that opens
-	// that peer's breaker (default 5; negative disables the breaker).
+	// BreakerThreshold is the run of consecutive outage-class exchange
+	// failures (backend.Circuit's taxonomy) that opens a peer's breaker
+	// (default 5).
 	BreakerThreshold int
 	// BreakerCooldown is how long an open peer breaker rejects traffic
-	// before the next probe (default 2s).
+	// before its half-open probe (default 2s).
 	BreakerCooldown time.Duration
 	// PutQueue bounds the asynchronous replication queue (default 256);
 	// puts beyond it are dropped and counted, never blocking an insert.
@@ -81,12 +83,6 @@ func (c PeeredConfig) withDefaults() PeeredConfig {
 	if c.PutTimeout <= 0 {
 		c.PutTimeout = 2 * time.Second
 	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 2 * time.Second
-	}
 	if c.PutQueue <= 0 {
 		c.PutQueue = 256
 	}
@@ -103,8 +99,9 @@ type PeerStats struct {
 	// FillMisses counts peer exchanges that answered authoritatively
 	// without the chunk.
 	FillMisses int64
-	// FillErrors counts failed peer exchanges (timeout, connection, or
-	// protocol failure).
+	// FillErrors counts failed peer exchanges, whatever the cause; only
+	// outage-class ones (timeout, connection failure) count toward the
+	// peer's breaker.
 	FillErrors int64
 	// FillSkips counts fills suppressed by an open per-peer breaker.
 	FillSkips int64
@@ -117,82 +114,15 @@ type PeerStats struct {
 	PutErrors int64
 }
 
-// peerBreakerState mirrors the backend breaker's gauge encoding
-// (0 closed, 1 half-open/probing, 2 open).
-const (
-	peerClosed int64 = 0
-	peerProbe  int64 = 1
-	peerOpen   int64 = 2
-)
-
-// peerState is one remote member: its connection handle plus the per-peer
-// circuit breaker. The breaker follows the PR-3 taxonomy at the granularity
-// a cache tier needs: consecutive failures open it, an open breaker rejects
-// both fills and puts until the cooldown passes, then a single probe
+// peerState is one remote member: its connection handle plus its circuit
+// breaker, the same state machine that guards the backend. An open breaker
+// rejects both fills and puts until the cooldown passes, then one probe
 // exchange decides whether it closes again. A dead peer therefore costs the
 // steady state nothing — keys it owns degrade to local+backend.
 type peerState struct {
-	name string
-	peer Peer
-	met  obs.PeerMetrics
-
-	mu        sync.Mutex
-	fails     int
-	openUntil time.Time
-	probing   bool
-}
-
-// allow reports whether an exchange may proceed, claiming the half-open
-// probe slot when the cooldown has passed.
-func (p *peerState) allow(threshold int, now time.Time) bool {
-	if threshold < 0 {
-		return true
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.fails < threshold {
-		return true
-	}
-	if now.Before(p.openUntil) {
-		return false
-	}
-	if p.probing {
-		// Someone else holds the probe; stay degraded until it reports.
-		return false
-	}
-	p.probing = true
-	p.met.BreakerState.Set(peerProbe)
-	return true
-}
-
-// report feeds an exchange outcome into the breaker.
-func (p *peerState) report(ok bool, threshold int, cooldown time.Duration, now time.Time) {
-	if threshold < 0 {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.probing = false
-	if ok {
-		p.fails = 0
-		p.met.BreakerState.Set(peerClosed)
-		return
-	}
-	p.fails++
-	if p.fails >= threshold {
-		p.openUntil = now.Add(cooldown)
-		p.met.BreakerState.Set(peerOpen)
-	}
-}
-
-// peerFlight is one in-flight peer fill; concurrent fills of the same key
-// collapse onto it.
-type peerFlight struct {
-	done    chan struct{}
-	data    *chunk.Chunk
-	cl      Class
-	benefit float64
-	ok      bool
+	peer    Peer
+	met     obs.PeerMetrics
+	breaker *backend.Circuit
 }
 
 // peerPut is one queued replication put.
@@ -207,18 +137,19 @@ type peerPut struct {
 // Peered is a Store composing a local store (the hot tier — typically a
 // Sharded) with a consistent-hash ring of remote peers (the cluster tier):
 //
-//   - Get serves from the local tier; on a local miss the key's ring owner
-//     is asked before the caller falls through to the backend (PeerFill —
-//     the engine calls it explicitly for strategy-declared misses too).
-//     Concurrent fills of one key collapse into a single exchange.
+//   - PeerFill asks a missing key's ring owner before the caller falls
+//     through to the backend. The engine calls it only as the leader of its
+//     per-chunk flight, so concurrent fills of one key are already one
+//     exchange; the store does no coalescing of its own.
 //   - Insert stores locally and, for backend-class chunks whose ring owner
 //     is a remote peer, replicates asynchronously (best-effort, bounded
 //     queue) so the whole group can reuse this node's backend fills.
-//   - A per-peer circuit breaker (threshold/cooldown, the PR-3 taxonomy)
-//     degrades a dead peer to local+backend service without blocking.
+//   - Each peer has a backend.Circuit breaker under the backend's error
+//     taxonomy, which degrades a dead peer to local+backend service without
+//     blocking; caller cancellation and Busy sheds never open it.
 //
-// Everything else delegates to the local store, so snapshots, strategies
-// and reports see exactly the local tier.
+// Everything else, Get included, delegates to the local store, so
+// snapshots, strategies and reports see exactly the local tier.
 type Peered struct {
 	local Store
 	cfg   PeeredConfig
@@ -227,9 +158,6 @@ type Peered struct {
 
 	mu    sync.Mutex // guards peers (membership rebuilds)
 	peers map[string]*peerState
-
-	fmu     sync.Mutex
-	flights map[Key]*peerFlight
 
 	puts   chan peerPut
 	closed atomic.Bool
@@ -251,11 +179,10 @@ func NewPeered(local Store, cfg PeeredConfig) (*Peered, error) {
 	}
 	cfg = cfg.withDefaults()
 	p := &Peered{
-		local:   local,
-		cfg:     cfg,
-		peers:   make(map[string]*peerState),
-		flights: make(map[Key]*peerFlight),
-		puts:    make(chan peerPut, cfg.PutQueue),
+		local: local,
+		cfg:   cfg,
+		peers: make(map[string]*peerState),
+		puts:  make(chan peerPut, cfg.PutQueue),
 	}
 	if err := p.Rebuild(cfg.Members); err != nil {
 		return nil, err
@@ -322,10 +249,13 @@ func (p *Peered) Rebuild(members []string) error {
 		if _, ok := p.peers[m]; ok {
 			continue
 		}
-		st := &peerState{name: m, peer: p.cfg.Dial(m)}
+		st := &peerState{peer: p.cfg.Dial(m)}
 		if p.cfg.Metrics != nil {
 			st.met = p.cfg.Metrics(m)
 		}
+		st.breaker = backend.NewCircuit(
+			backend.BreakerConfig{FailureThreshold: p.cfg.BreakerThreshold, Cooldown: p.cfg.BreakerCooldown},
+			obs.BreakerMetrics{State: st.met.BreakerState})
 		p.peers[m] = st
 	}
 	p.mu.Unlock()
@@ -366,75 +296,38 @@ func (p *Peered) Close() error {
 
 // PeerFill asks the key's ring owner for a chunk the local tier does not
 // hold, inserting it locally on success. It is the engine's pre-backend
-// hook: false means the caller should fall through to the backend. Fills of
-// the same key collapse into one exchange; a dead or breaker-open owner
-// returns false immediately.
+// hook: false means the caller should fall through to the backend, and a
+// self-owned key or a breaker-open owner returns false at once. The caller
+// coalesces fills of one key; each call is one breaker-guarded exchange.
 func (p *Peered) PeerFill(ctx context.Context, k Key) (*chunk.Chunk, bool) {
-	data, _, _, ok := p.fill(ctx, k)
-	return data, ok
-}
-
-// fill implements PeerFill, returning the replacement attributes too (the
-// transparent Get path reuses them).
-func (p *Peered) fill(ctx context.Context, k Key) (*chunk.Chunk, Class, float64, bool) {
 	if p.closed.Load() {
-		return nil, 0, 0, false
+		return nil, false
 	}
-	owner := p.ring.Load().Owner(k)
-	if owner == "" || owner == p.cfg.Self {
-		return nil, 0, 0, false
-	}
-	st := p.peer(owner)
+	st := p.peer(p.ring.Load().Owner(k))
 	if st == nil {
-		return nil, 0, 0, false
+		return nil, false
 	}
-
-	p.fmu.Lock()
-	if fl, ok := p.flights[k]; ok {
-		p.fmu.Unlock()
-		select {
-		case <-fl.done:
-			return fl.data, fl.cl, fl.benefit, fl.ok
-		case <-ctx.Done():
-			return nil, 0, 0, false
-		}
-	}
-	fl := &peerFlight{done: make(chan struct{})}
-	p.flights[k] = fl
-	p.fmu.Unlock()
-
-	fl.data, fl.cl, fl.benefit, fl.ok = p.exchange(ctx, st, k)
-	p.fmu.Lock()
-	delete(p.flights, k)
-	p.fmu.Unlock()
-	close(fl.done)
-	return fl.data, fl.cl, fl.benefit, fl.ok
-}
-
-// exchange performs one breaker-guarded peer get and installs a successful
-// fill in the local tier.
-func (p *Peered) exchange(ctx context.Context, st *peerState, k Key) (*chunk.Chunk, Class, float64, bool) {
-	if !st.allow(p.cfg.BreakerThreshold, time.Now()) {
+	probe, err := st.breaker.Admit()
+	if err != nil {
 		p.fillSkips.Add(1)
 		st.met.Skips.Inc()
-		return nil, 0, 0, false
+		return nil, false
 	}
 	ctx, cancel := context.WithTimeout(ctx, p.cfg.GetTimeout)
 	defer cancel()
 	start := time.Now()
-	data, cl, benefit, found, err := st.peer.Get(ctx, k)
+	data, _, benefit, found, err := st.peer.Get(ctx, k)
 	st.met.Latency.Observe(time.Since(start))
+	st.breaker.Done(probe, err)
 	if err != nil {
-		st.report(false, p.cfg.BreakerThreshold, p.cfg.BreakerCooldown, time.Now())
 		p.fillErrors.Add(1)
 		st.met.Errors.Inc()
-		return nil, 0, 0, false
+		return nil, false
 	}
-	st.report(true, p.cfg.BreakerThreshold, p.cfg.BreakerCooldown, time.Now())
 	if !found {
 		p.fillMisses.Add(1)
 		st.met.Misses.Inc()
-		return nil, 0, 0, false
+		return nil, false
 	}
 	p.fills.Add(1)
 	st.met.Hits.Inc()
@@ -446,7 +339,7 @@ func (p *Peered) exchange(ctx context.Context, st *peerState, k Key) (*chunk.Chu
 	// stops growing with membership. The insert goes straight to the local
 	// store — a fill must never re-enter the replication path it came from.
 	p.local.Insert(k, data, AsComputed(benefit))
-	return data, cl, benefit, true
+	return data, true
 }
 
 // replicate queues a best-effort put of a freshly backend-fetched chunk to
@@ -474,15 +367,16 @@ func (p *Peered) putLoop() {
 		if st == nil {
 			continue
 		}
-		if !st.allow(p.cfg.BreakerThreshold, time.Now()) {
+		probe, err := st.breaker.Admit()
+		if err != nil {
 			p.putDrops.Add(1)
 			st.met.PutDrops.Inc()
 			continue
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), p.cfg.PutTimeout)
-		err := st.peer.Put(ctx, req.key, req.data, req.cl, req.benefit)
+		err = st.peer.Put(ctx, req.key, req.data, req.cl, req.benefit)
 		cancel()
-		st.report(err == nil, p.cfg.BreakerThreshold, p.cfg.BreakerCooldown, time.Now())
+		st.breaker.Done(probe, err)
 		if err != nil {
 			p.putErrors.Add(1)
 			st.met.PutErrors.Inc()
@@ -495,15 +389,10 @@ func (p *Peered) putLoop() {
 
 // --- Store delegation -----------------------------------------------------
 
-// Get implements Store: the local tier first, then — on a local miss — the
-// key's ring owner, installing a successful peer fill locally.
-func (p *Peered) Get(k Key) (*chunk.Chunk, bool) {
-	if data, ok := p.local.Get(k); ok {
-		return data, true
-	}
-	data, _, _, ok := p.fill(context.Background(), k)
-	return data, ok
-}
+// Get implements Store (local tier only): a miss never reaches a peer.
+// Peer traffic belongs to PeerFill, which the engine calls under its
+// per-chunk flight with the query's context.
+func (p *Peered) Get(k Key) (*chunk.Chunk, bool) { return p.local.Get(k) }
 
 // Peek implements Store (local tier only).
 func (p *Peered) Peek(k Key) (*chunk.Chunk, bool) { return p.local.Peek(k) }

@@ -8,17 +8,24 @@ import (
 	"testing"
 	"time"
 
+	"aggcache/internal/backend"
 	"aggcache/internal/chunk"
+	"aggcache/internal/wire"
 )
 
+// errPeerDown is what mtier.PeerClient returns for a dead connection: a
+// transient failure, which the shared breaker taxonomy counts as an outage.
+var errPeerDown = backend.MarkTransient(errors.New("fake peer down"))
+
 // fakePeer is an in-process Peer with a scriptable store and failure switch.
+// Like mtier.PeerClient it fails an exchange whose context is already done.
 type fakePeer struct {
 	name string
 
 	mu     sync.Mutex
 	chunks map[Key]*chunk.Chunk
 	puts   []Key
-	fail   bool
+	err    error // every exchange fails with it while set
 	gets   atomic.Int64
 	closed atomic.Bool
 
@@ -35,14 +42,25 @@ func (f *fakePeer) seed(k Key, c *chunk.Chunk) {
 	f.mu.Unlock()
 }
 
-func (f *fakePeer) setFail(v bool) {
+func (f *fakePeer) setErr(err error) {
 	f.mu.Lock()
-	f.fail = v
+	f.err = err
 	f.mu.Unlock()
+}
+
+func (f *fakePeer) setFail(v bool) {
+	if v {
+		f.setErr(errPeerDown)
+	} else {
+		f.setErr(nil)
+	}
 }
 
 func (f *fakePeer) Get(ctx context.Context, k Key) (*chunk.Chunk, Class, float64, bool, error) {
 	f.gets.Add(1)
+	if err := ctx.Err(); err != nil {
+		return nil, 0, 0, false, err
+	}
 	if f.block != nil {
 		select {
 		case <-f.block:
@@ -52,8 +70,8 @@ func (f *fakePeer) Get(ctx context.Context, k Key) (*chunk.Chunk, Class, float64
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.fail {
-		return nil, 0, 0, false, errors.New("fake peer down")
+	if f.err != nil {
+		return nil, 0, 0, false, f.err
 	}
 	if c, ok := f.chunks[k]; ok {
 		return c, ClassBackend, 42, true, nil
@@ -64,8 +82,8 @@ func (f *fakePeer) Get(ctx context.Context, k Key) (*chunk.Chunk, Class, float64
 func (f *fakePeer) Put(ctx context.Context, k Key, data *chunk.Chunk, cl Class, benefit float64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.fail {
-		return errors.New("fake peer down")
+	if f.err != nil {
+		return f.err
 	}
 	f.chunks[k] = data
 	f.puts = append(f.puts, k)
@@ -215,57 +233,53 @@ func TestPeeredBreakerOpensAndRecovers(t *testing.T) {
 	}
 }
 
-func TestPeeredBreakerHalfOpenSingleProbe(t *testing.T) {
-	st := &peerState{}
-	now := time.Now()
+// TestPeeredBreakerIgnoresCancellationAndBusy: a peer's breaker reads
+// exchange outcomes with the backend's taxonomy. The caller's own
+// cancellation and a shedding (Busy) peer never advance it, so a healthy
+// peer is still asked afterwards; an exchange that outlives GetTimeout does.
+func TestPeeredBreakerIgnoresCancellationAndBusy(t *testing.T) {
+	p, peer := newPeeredPair(t, PeeredConfig{BreakerThreshold: 3, GetTimeout: 20 * time.Millisecond})
+	k := key(13)
+	peer.seed(k, mkChunk(0, 13, 4))
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
 	for i := 0; i < 3; i++ {
-		st.report(false, 3, time.Minute, now)
+		if _, ok := p.PeerFill(cancelled, k); ok {
+			t.Fatalf("fill %d succeeded under a cancelled context", i)
+		}
 	}
-	if st.allow(3, now) {
-		t.Fatalf("breaker should be open inside cooldown")
+	peer.setErr(&wire.BusyError{RetryAfter: time.Millisecond, Reason: "queue_full"})
+	for i := 0; i < 3; i++ {
+		if _, ok := p.PeerFill(context.Background(), k); ok {
+			t.Fatalf("fill %d succeeded against a shedding peer", i)
+		}
 	}
-	later := now.Add(2 * time.Minute)
-	if !st.allow(3, later) {
-		t.Fatalf("first post-cooldown call should claim the probe")
+	peer.setErr(nil)
+	if _, ok := p.PeerFill(context.Background(), k); !ok {
+		t.Fatalf("live fill against a healthy peer failed: %+v", p.PeerStats())
 	}
-	if st.allow(3, later) {
-		t.Fatalf("second caller must not probe concurrently")
+	if st := p.PeerStats(); st.FillSkips != 0 || st.Fills != 1 {
+		t.Fatalf("stats = %+v, want no skips and one fill", st)
 	}
-	st.report(true, 3, time.Minute, later)
-	if !st.allow(3, later) {
-		t.Fatalf("breaker should close after successful probe")
-	}
-}
 
-func TestPeeredFillSingleflight(t *testing.T) {
-	p, peer := newPeeredPair(t, PeeredConfig{})
-	k := key(11)
-	peer.seed(k, mkChunk(0, 11, 4))
+	// The GetTimeout deadline is an outage: three expiries open the breaker.
 	peer.block = make(chan struct{})
-
-	const callers = 8
-	var wg sync.WaitGroup
-	var hits atomic.Int64
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, ok := p.PeerFill(context.Background(), k); ok {
-				hits.Add(1)
-			}
-		}()
+	defer close(peer.block)
+	for i := 0; i < 3; i++ {
+		if _, ok := p.PeerFill(context.Background(), k); ok {
+			t.Fatalf("fill %d succeeded against a hung peer", i)
+		}
 	}
-	// Let every caller either start the exchange or park on the flight,
-	// then release the peer.
-	time.Sleep(20 * time.Millisecond)
-	close(peer.block)
-	wg.Wait()
-
-	if hits.Load() != callers {
-		t.Fatalf("hits = %d, want %d", hits.Load(), callers)
+	before := peer.gets.Load()
+	if _, ok := p.PeerFill(context.Background(), k); ok {
+		t.Fatalf("fill succeeded while breaker open")
 	}
-	if got := peer.gets.Load(); got != 1 {
-		t.Fatalf("peer exchanges = %d, want 1 (singleflight)", got)
+	if got := peer.gets.Load(); got != before {
+		t.Fatalf("breaker-open fill reached the peer (%d → %d gets)", before, got)
+	}
+	if st := p.PeerStats(); st.FillSkips != 1 {
+		t.Fatalf("stats = %+v, want one skip after three timeouts", st)
 	}
 }
 
@@ -330,11 +344,19 @@ func TestPeeredCloseIsIdempotentAndStopsFills(t *testing.T) {
 	}
 }
 
-func TestPeeredGetFallsBackToPeer(t *testing.T) {
+// TestPeeredGetLocalMissNeverReachesPeer: Get is local-only; peer traffic
+// goes through PeerFill alone.
+func TestPeeredGetLocalMissNeverReachesPeer(t *testing.T) {
 	p, peer := newPeeredPair(t, PeeredConfig{})
 	k := key(21)
 	peer.seed(k, mkChunk(0, 21, 6))
-	if data, ok := p.Get(k); !ok || data.Cells() != 6 {
-		t.Fatalf("Get through peer = %v, %v", data, ok)
+	if _, ok := p.Get(k); ok {
+		t.Fatalf("Get of a key held only by the peer hit")
+	}
+	if got := peer.gets.Load(); got != 0 {
+		t.Fatalf("local miss in Get made %d peer exchanges, want 0", got)
+	}
+	if st := p.PeerStats(); st != (PeerStats{}) {
+		t.Fatalf("stats = %+v, want zero", st)
 	}
 }

@@ -11,6 +11,8 @@ import (
 	"aggcache/internal/backend"
 	"aggcache/internal/cache"
 	"aggcache/internal/chunk"
+	"aggcache/internal/lattice"
+	"aggcache/internal/obs"
 	"aggcache/internal/sizer"
 	"aggcache/internal/strategy"
 )
@@ -217,4 +219,138 @@ func TestEnginePeerFillServesRemoteChunks(t *testing.T) {
 			backendChunks, soloBackend)
 	}
 	t.Logf("peer fills: %d chunks; backend chunks %d (standalone %d)", peerChunks, backendChunks, soloBackend)
+}
+
+// gatedPeer serves gets from a sibling store only once gate closes, counting
+// exchanges per key, so a test can hold every peer fill in flight.
+type gatedPeer struct {
+	storePeer
+	gate chan struct{}
+	mu   sync.Mutex
+	gets map[cache.Key]int
+}
+
+func (p *gatedPeer) Get(ctx context.Context, k cache.Key) (*chunk.Chunk, cache.Class, float64, bool, error) {
+	p.mu.Lock()
+	p.gets[k]++
+	p.mu.Unlock()
+	select {
+	case <-p.gate:
+	case <-ctx.Done():
+		return nil, 0, 0, false, ctx.Err()
+	}
+	return p.storePeer.Get(ctx, k)
+}
+
+// TestEnginePeerFillCoalescesConcurrentQueries: the engine's flight group is
+// the peer tier's only singleflight. Identical concurrent queries whose
+// missing chunks a remote peer owns make exactly one peer exchange per
+// chunk, and every answer equals the backend oracle.
+func TestEnginePeerFillCoalescesConcurrentQueries(t *testing.T) {
+	cfg := apb.New(apb.ScaleTiny)
+	g, tab, err := cfg.Build(21)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	be, err := backend.NewEngine(g, tab, backend.LatencyModel{})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	sz := sizer.NewEstimate(g, int64(tab.Len()))
+	ctx := context.Background()
+
+	// A whole group-by of a few chunks, all of them resident at the owner.
+	var q Query
+	var nums []int
+	for id := 0; id < g.Lattice().NumNodes() && len(nums) < 3; id++ {
+		q = WholeGroupBy(lattice.ID(id))
+		nq, err := q.normalize(g)
+		if err != nil {
+			t.Fatalf("normalize: %v", err)
+		}
+		nums = nq.chunkNumbers(g)
+	}
+	if len(nums) < 3 {
+		t.Fatalf("no group-by with 3+ chunks")
+	}
+	remote, err := cache.New(1<<22, cache.NewTwoLevel())
+	if err != nil {
+		t.Fatalf("cache.New: %v", err)
+	}
+	chunks, _, err := be.ComputeChunks(ctx, q.GB, nums)
+	if err != nil {
+		t.Fatalf("ComputeChunks: %v", err)
+	}
+	for i, c := range chunks {
+		remote.Insert(cache.Key{GB: q.GB, Num: int32(nums[i])}, c, cache.AsBackend(1))
+	}
+	peer := &gatedPeer{storePeer: storePeer{st: remote}, gate: make(chan struct{}), gets: make(map[cache.Key]int)}
+
+	// Self is not a member, so the one remote member owns every key.
+	local, err := cache.New(1<<22, cache.NewTwoLevel())
+	if err != nil {
+		t.Fatalf("cache.New: %v", err)
+	}
+	pc, err := cache.NewPeered(local, cache.PeeredConfig{
+		Members:    []string{"b"},
+		Dial:       func(string) cache.Peer { return peer },
+		GetTimeout: time.Minute,
+	})
+	if err != nil {
+		t.Fatalf("NewPeered: %v", err)
+	}
+	t.Cleanup(func() { pc.Close() })
+	met := obs.NewEngineMetrics(obs.NewRegistry())
+	eng, err := New(g, pc, strategy.NewVCMC(g, sz), be, sz, WithMetrics(met))
+	if err != nil {
+		t.Fatalf("core.New: %v", err)
+	}
+
+	const queries = 6
+	results := make([]*Result, queries)
+	errs := make([]error, queries)
+	var wg sync.WaitGroup
+	for i := 0; i < queries; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = eng.Execute(ctx, q)
+		}(i)
+	}
+	// Release the peer once one query leads every chunk and the others wait
+	// on its flights.
+	want := int64((queries - 1) * len(nums))
+	deadline := time.Now().Add(10 * time.Second)
+	for met.FlightFollowerChunks.Value() < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	close(peer.gate)
+	wg.Wait()
+	if got := met.FlightFollowerChunks.Value(); got != want {
+		t.Fatalf("follower chunks = %d, want %d", got, want)
+	}
+
+	oracle := &fixture{grid: g, engine: eng, oracle: be}
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("query %d: %v", i, errs[i])
+		}
+		if res.PeerChunks != len(nums) {
+			t.Errorf("query %d: %d peer chunks, want %d", i, res.PeerChunks, len(nums))
+		}
+		assertMatchesOracle(t, oracle, q, res)
+	}
+	peer.mu.Lock()
+	defer peer.mu.Unlock()
+	if len(peer.gets) != len(nums) {
+		t.Fatalf("peer saw %d distinct keys, want %d", len(peer.gets), len(nums))
+	}
+	for k, n := range peer.gets {
+		if n != 1 {
+			t.Errorf("chunk %v: %d peer exchanges, want 1", k, n)
+		}
+	}
+	if st := eng.Stats(); st.BackendQueries != 0 {
+		t.Errorf("backend queries = %d, want 0", st.BackendQueries)
+	}
 }

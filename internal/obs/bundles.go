@@ -317,7 +317,7 @@ func NewPeerMetrics(r *Registry, peer string) PeerMetrics {
 		PutDrops:  r.Counter("aggcache_peer_put_drops_total"+l, "Replication puts dropped (queue full or breaker open)."),
 		PutErrors: r.Counter("aggcache_peer_put_errors_total"+l, "Replication puts that failed."),
 
-		BreakerState: r.Gauge("aggcache_peer_breaker_state"+l, "Per-peer breaker state: 0 closed, 1 probing, 2 open."),
+		BreakerState: r.Gauge("aggcache_peer_breaker_state"+l, "Per-peer breaker state: 0 closed, 1 half-open, 2 open."),
 		Latency:      r.Histogram("aggcache_peer_fill_seconds"+l, "Peer-fill exchange latency."),
 	}
 }
